@@ -61,21 +61,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo test -q
 cargo test --workspace -q
 
-# Workspace builds unify features (pim-sim default-enables pim-runtime's
-# `trace`); make sure the feature-off hot path still compiles on its own.
+# pim-runtime must also build on its own, outside the workspace's feature
+# unification.
 cargo check -q -p pim-runtime
 
 # The differential suite (50 seeded random graphs x 6 presets, optimized
 # vs reference engine paths) runs under the workspace tests with the
 # `parallel` feature on; re-run it with `parallel` off so both sweep
 # drivers stay behaviour-identical.
-cargo test -q -p pim-sim --no-default-features --features trace --test differential
+cargo test -q -p pim-sim --no-default-features --test differential
 
 # Seeded fault suite with `parallel` off (the workspace run above covers
 # `parallel` on): engine recovery, the none-plan differential guard, and
 # the fault-aware legality checker must not depend on the sweep driver.
 cargo test -q -p pim-runtime --no-default-features fault
-cargo test -q -p pim-sim --no-default-features --features trace --test fault_differential
+cargo test -q -p pim-sim --no-default-features --test fault_differential
 
 # Static checker: every model graph, binary set, schedule, and report must
 # come back with zero error-severity diagnostics (exit code gates).
@@ -133,7 +133,7 @@ cargo run --release -q -p pim-verify -- \
 cargo run --release -q -p pim-sim --bin repro -- \
     fuzz --models alex,lstm --seeds 8 --presets hetero,progr > /dev/null
 cargo run --release -q -p pim-sim --bin repro \
-    --no-default-features --features trace -- \
+    --no-default-features -- \
     fuzz --models alex,lstm --seeds 8 --presets hetero,progr > /dev/null
 
 # Static order-invariance gate: pass 5 over every model with 4 permuted
@@ -152,7 +152,7 @@ cargo run --release -q -p pim-verify -- \
     --all-models --isa --format json > /dev/null
 cargo run --release -q -p pim-sim --bin repro -- isa > "$isa_a"
 cargo run --release -q -p pim-sim --bin repro \
-    --no-default-features --features trace -- isa > "$isa_b"
+    --no-default-features -- isa > "$isa_b"
 diff "$isa_a" "$isa_b"
 
 # Serve smoke: boot the daemon on stdin, replay a seeded load trace

@@ -183,8 +183,7 @@ impl TraceEvent {
 /// Receives trace events from instrumented code.
 ///
 /// Producers should gate expensive argument construction on
-/// [`TraceSink::enabled`]; the engine additionally compiles its
-/// instrumentation away entirely when its `trace` feature is off.
+/// [`TraceSink::enabled`], so an untraced run pays one branch per site.
 pub trait TraceSink {
     /// Records one event.
     fn record(&mut self, event: TraceEvent);
@@ -656,14 +655,20 @@ impl fmt::Display for Json {
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error,
+/// including arrays and objects nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     Parser::new(text).parse()
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser is
+/// recursive descent, so the cap bounds its stack use on hostile input.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -671,6 +676,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -696,8 +702,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -1046,6 +1066,22 @@ mod tests {
         assert!(validate_chrome_trace(doc).is_clean());
         assert!(!validate_chrome_trace("{\"traceEvents\":[}").is_clean());
         assert!(!validate_chrome_trace("{}").is_clean());
+    }
+
+    #[test]
+    fn json_parser_rejects_runaway_nesting() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        let limit = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(parse_json(&limit).is_ok());
+        let over = format!("[{limit}]");
+        assert!(parse_json(&over).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

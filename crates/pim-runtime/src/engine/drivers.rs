@@ -8,24 +8,28 @@
 //! * [`run_device_serial`] — a single [`Device`] executing the step stream
 //!   back-to-back (the analytic GPU and Neurocube baselines in `pim-sim`).
 //!
-//! The event-driven drivers register their state — device lanes, the
+//! The two engine drivers are generic over a [`FaultModel`]: one body per
+//! execution mode serves both the fault-free runs ([`NoFaults`], whose
+//! constant answers monomorphize back to the zero-fault hot path) and the
+//! seeded fault plans ([`FaultContext`](super::faults::FaultContext)).
+//!
+//! The event-driven driver registers its state — device lanes, the
 //! link/sync model, the resource pool, the observer — as components in a
-//! [`ComponentSlab`] and loop on `earliest()`/`advance()`; see the
+//! [`ComponentSlab`] and loops on `earliest()`/`advance()`; see the
 //! [`components`](super::components) module docs for the determinism
 //! argument. All drivers account time and energy through the same
 //! [`Accumulator`] and build their result exclusively via
 //! [`ReportBuilder`], and all emit per-op [`TimelineEntry`] records to a
 //! pluggable [`TimelineSink`]. The engine drivers additionally observe
 //! execution through an [`Observer`]: counters always, Chrome-trace spans
-//! when the `trace` feature is on.
+//! when the run records a trace.
+//!
+//! [`NoFaults`]: super::faults::NoFaults
 
 use super::components::{
     Accumulator, Clock, Comp, ComponentSlab, DeviceLanes, InFlight, ResourceSoA, Retired, SyncLink,
 };
-use super::faults::{
-    backoff_after, decide, extend_timeout, lane_for, scale_planned, stretch_planned,
-    AttemptOutcome, Fate, FaultContext,
-};
+use super::faults::{backoff_after, scale_planned, AttemptOutcome, FaultContext, FaultModel};
 use super::limits::RunLimits;
 use super::observe::{Observer, OpRecord, ResourceClass, TimelineEntry, TimelineSink};
 use super::placement::{
@@ -42,79 +46,201 @@ use pim_hw::device::Device;
 use pim_hw::faults::FaultTarget;
 use std::collections::BTreeSet;
 
+/// Chooses and plans every op of `wl`, in topological order, against
+/// `avail` — all the serialized driver's placement depends on.
+fn plan_serial(
+    planner: &Planner,
+    wl: &Prepared<'_>,
+    avail: Availability,
+) -> Result<Vec<(PlanKind, PlannedOp, bool)>> {
+    wl.topo
+        .iter()
+        .map(|&op| {
+            let cost = &wl.costs[op];
+            let is_candidate = wl.candidates.contains(OpId::new(op));
+            let kind = planner
+                .choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
+                .ok_or_else(|| PimError::internal("serialized placement found no device"))?;
+            Ok((kind, planner.plan_cost(kind, cost), is_candidate))
+        })
+        .collect()
+}
+
+/// Applies one permanent strike to the serialized driver's alive-state.
+fn apply_strike_serial(
+    target: FaultTarget,
+    ff_alive: &mut usize,
+    progr_alive: &mut bool,
+    obs: &mut Observer<'_>,
+    at: Seconds,
+) {
+    match target {
+        FaultTarget::FixedUnits(n) => {
+            let n = n.min(*ff_alive);
+            *ff_alive -= n;
+            obs.quarantine(at, "ff units", n);
+        }
+        FaultTarget::ProgrPim => {
+            *progr_alive = false;
+            obs.quarantine(at, "progr pim", 1);
+        }
+    }
+}
+
 /// Sequential execution: one op at a time in topological order per step —
 /// the "without runtime scheduling" configurations.
-pub(crate) fn run_serialized(
+///
+/// Under a fault model each attempt takes its fate at dispatch: transients
+/// retry after exponential backoff, timeouts re-dispatch at once, and
+/// permanent strikes take effect at their scheduled times. A strike that
+/// lands on the running attempt's resources kills it, and the attempt is
+/// charged for the fraction of the work the device actually performed.
+pub(crate) fn run_serialized<F: FaultModel>(
     planner: &Planner,
     prepared: &[Prepared<'_>],
     obs: &mut Observer<'_>,
+    faults: &F,
     limits: &RunLimits,
 ) -> Result<ExecutionReport> {
     let mut acc = Accumulator::default();
     let mut clock = Clock::new();
     let mut gauge = limits.gauge();
+    let mut ff_alive = planner.cfg.ff_units - faults.initial_ff();
+    let mut progr_alive = !faults.initial_progr_dead();
+    if faults.initial_ff() > 0 {
+        obs.quarantine(clock.now(), "ff units", faults.initial_ff());
+    }
+    if faults.initial_progr_dead() {
+        obs.quarantine(clock.now(), "progr pim", 1);
+    }
+    let strikes = faults.strikes();
+    let mut next_strike = 0usize;
     for (w, wl) in prepared.iter().enumerate() {
         let ops = wl.spec.graph.ops();
-        // With everything free, placement is availability-independent:
-        // choose and plan once per op and reuse the plan across steps
-        // (both are pure, so the replayed numbers are bit-identical).
-        let plans: Vec<(PlanKind, PlannedOp, bool)> = wl
-            .topo
-            .iter()
-            .map(|&op| {
-                let cost = &wl.costs[op];
-                let is_candidate = wl.candidates.contains(OpId::new(op));
-                let kind = planner
-                    .choose(
-                        cost,
-                        is_candidate,
-                        wl.spec.cpu_progr_only,
-                        Availability::all_free(planner.cfg.ff_units),
-                    )
-                    .ok_or_else(|| PimError::internal("serialized placement found no device"))?;
-                Ok((kind, planner.plan_cost(kind, cost), is_candidate))
-            })
-            .collect::<Result<_>>()?;
+        // With nothing contending, placement depends only on which
+        // resources are alive, and that changes only at a strike: choose
+        // and plan every op once and replay the plans across steps until
+        // a strike empties the cache (both are pure, so the replayed
+        // numbers are bit-identical).
+        let mut plans = Vec::new();
         for step in 0..wl.spec.steps {
             for (i, &op) in wl.topo.iter().enumerate() {
-                let cost = &wl.costs[op];
-                let (kind, ref planned, is_candidate) = plans[i];
-                acc.add(planned);
-                let entry = TimelineEntry {
-                    workload: w,
-                    step,
-                    op,
-                    start: clock.now(),
-                    end: clock.now() + planned.duration,
-                    resource: resource_class(planned),
-                    ff_units: planned.ff_units,
-                    attempt: 0,
-                    outcome: AttemptOutcome::Completed,
-                };
-                obs.record_op(&OpRecord {
-                    entry,
-                    planned,
-                    kind,
-                    cost,
-                    name: ops[op].kind.tf_name(),
-                    candidate: is_candidate,
-                    inflight: 1,
-                });
-                if planned.ff_units > 0 {
-                    obs.ff_delta(clock.now(), planned.ff_units as isize);
-                }
-                clock.advance(planned.duration);
-                if planned.ff_units > 0 {
-                    obs.ff_delta(clock.now(), -(planned.ff_units as isize));
-                }
-                obs.completed();
-                // One "event" per op instance: this driver has no next-tick
-                // merge, so the budget check rides the serial op loop.
-                gauge.tick(clock.now())?;
-                if planner.cfg.mode == SystemMode::Hetero {
-                    clock.advance(PLACEMENT_DECISION);
-                    acc.sync_raw += PLACEMENT_DECISION;
-                    obs.decision(PLACEMENT_DECISION);
+                let mut attempt = 0u32;
+                loop {
+                    // Strikes due by now take effect before placement.
+                    while let Some(s) = strikes.get(next_strike).filter(|s| s.at <= clock.now()) {
+                        apply_strike_serial(s.target, &mut ff_alive, &mut progr_alive, obs, s.at);
+                        next_strike += 1;
+                        plans.clear();
+                    }
+                    if plans.is_empty() {
+                        let avail = Availability {
+                            cpu_free: true,
+                            progr_free: progr_alive,
+                            ff_free: ff_alive,
+                            ff_alive,
+                            progr_alive,
+                        };
+                        plans = plan_serial(planner, wl, avail)?;
+                    }
+                    let (kind, planned, is_candidate) = plans[i];
+                    let start = clock.now();
+                    let (mut charge, mut outcome) =
+                        faults.attempt(planned, start, w, step, op, attempt);
+                    let mut end = start + charge.duration;
+                    // A strike landing inside the attempt kills it at the
+                    // strike instant when it takes the resources under it.
+                    while let Some(s) = strikes.get(next_strike).filter(|s| s.at < end) {
+                        let idle = match s.target {
+                            FaultTarget::FixedUnits(_) => ff_alive.saturating_sub(charge.ff_units),
+                            FaultTarget::ProgrPim => 0,
+                        };
+                        let kills = FaultContext::strike_kills(
+                            s.target,
+                            charge.ff_units,
+                            charge.uses_progr,
+                            idle,
+                        );
+                        apply_strike_serial(s.target, &mut ff_alive, &mut progr_alive, obs, s.at);
+                        next_strike += 1;
+                        plans.clear();
+                        if kills {
+                            let dur = charge.duration.seconds();
+                            let frac = if dur > 0.0 {
+                                ((s.at - start).seconds() / dur).clamp(0.0, 1.0)
+                            } else {
+                                0.0
+                            };
+                            charge = scale_planned(&charge, frac);
+                            end = s.at.max(start);
+                            outcome = AttemptOutcome::Killed;
+                            obs.killed(s.at, w, step, op);
+                            break;
+                        }
+                    }
+                    acc.add(&charge);
+                    let entry = TimelineEntry {
+                        workload: w,
+                        step,
+                        op,
+                        start,
+                        end,
+                        resource: resource_class(&charge),
+                        ff_units: charge.ff_units,
+                        attempt,
+                        outcome,
+                    };
+                    obs.record_op(&OpRecord {
+                        entry,
+                        planned: &charge,
+                        kind,
+                        cost: &wl.costs[op],
+                        name: ops[op].kind.tf_name(),
+                        candidate: is_candidate,
+                        inflight: 1,
+                    });
+                    if charge.ff_units > 0 {
+                        obs.ff_delta(start, charge.ff_units as isize);
+                    }
+                    // Fault-free runs advance by the duration itself and
+                    // faulted runs by the recorded interval, which a kill
+                    // cuts short; the two round differently in the last
+                    // ulp, and each is pinned by its own golden outputs.
+                    clock.advance(if F::INJECTS {
+                        end - start
+                    } else {
+                        charge.duration
+                    });
+                    // One "event" per attempt (retries and re-dispatches
+                    // count — fuel must bound a run that never completes).
+                    gauge.tick(clock.now())?;
+                    if charge.ff_units > 0 {
+                        obs.ff_delta(clock.now(), -(charge.ff_units as isize));
+                    }
+                    if planner.cfg.mode == SystemMode::Hetero {
+                        clock.advance(PLACEMENT_DECISION);
+                        acc.sync_raw += PLACEMENT_DECISION;
+                        obs.decision(PLACEMENT_DECISION);
+                    }
+                    match outcome {
+                        AttemptOutcome::Completed => {
+                            obs.completed();
+                            break;
+                        }
+                        AttemptOutcome::Transient => {
+                            obs.fault(end, "transient", w, step, op);
+                            obs.retried();
+                            let backoff = backoff_after(attempt);
+                            clock.advance(backoff);
+                            acc.sync_raw += backoff;
+                        }
+                        AttemptOutcome::TimedOut => {
+                            obs.fault(end, "timed-out", w, step, op);
+                            obs.redispatched();
+                        }
+                        AttemptOutcome::Killed => obs.retried(),
+                    }
+                    attempt += 1;
                 }
             }
             clock.advance(STEP_BARRIER);
@@ -136,7 +262,7 @@ struct Key {
     op: usize,
 }
 
-/// Dependency/readiness bookkeeping shared by the scheduled drivers.
+/// Dependency/readiness bookkeeping of the scheduled driver.
 struct ReadySet {
     /// Per-instance remaining dependency counts.
     remaining: Vec<Vec<Vec<usize>>>,
@@ -199,6 +325,16 @@ impl ReadySet {
     fn insert(&mut self, key: Key) {
         self.ready.insert(key);
         self.ready_counts[key.wl][key.step] += 1;
+    }
+
+    /// Puts a retried or re-dispatched instance back into the ready set.
+    fn requeue(&mut self, prepared: &[Prepared<'_>], w: usize, step: usize, op: usize) {
+        self.insert(Key {
+            step,
+            rank: prepared[w].rank[op],
+            wl: w,
+            op,
+        });
     }
 
     fn remove(&mut self, key: &Key) {
@@ -281,22 +417,91 @@ fn order_scan(tie: TieBreak, scan: &mut [Key]) {
     }
 }
 
+/// Commits one attempt of an in-flight record to the timeline and the
+/// observer: it ran from dispatch to `end` and is charged `charge`.
+fn record_attempt(
+    obs: &mut Observer<'_>,
+    wl: &Prepared<'_>,
+    rec: &InFlight,
+    end: Seconds,
+    charge: &PlannedOp,
+    outcome: AttemptOutcome,
+) {
+    let entry = TimelineEntry {
+        workload: rec.wl,
+        step: rec.step,
+        op: rec.op,
+        start: rec.start,
+        end,
+        resource: resource_class(&rec.charge),
+        ff_units: rec.units,
+        attempt: rec.attempt,
+        outcome,
+    };
+    obs.record_op(&OpRecord {
+        entry,
+        planned: charge,
+        kind: rec.kind,
+        cost: &wl.costs[rec.op],
+        name: wl.spec.graph.ops()[rec.op].kind.tf_name(),
+        candidate: rec.candidate,
+        inflight: rec.inflight_at_dispatch,
+    });
+}
+
 /// Event-driven execution with the operation pipeline.
-pub(crate) fn run_scheduled(
+///
+/// Under a fault model an attempt's fate is decided at dispatch, and its
+/// charge and timeline record wait for the attempt to end, so a kill bills
+/// only the work performed. Permanent strikes are delivered by the
+/// link/sync component as events that kill the in-flight attempts under
+/// them; transient retries come back through the same component after
+/// their backoff.
+pub(crate) fn run_scheduled<F: FaultModel>(
     planner: &Planner,
     prepared: &[Prepared<'_>],
     obs: &mut Observer<'_>,
+    faults: &F,
     tie: TieBreak,
     limits: &RunLimits,
 ) -> Result<ExecutionReport> {
     let mut rs = ReadySet::new(prepared);
     let mut gauge = limits.gauge();
+    // Attempt counter per instance (indexed step * ops + op); a model that
+    // never fails an attempt needs none.
+    let mut attempts: Vec<Vec<u32>> = if F::INJECTS {
+        prepared
+            .iter()
+            .map(|wl| vec![0u32; wl.spec.steps * wl.deps.len()])
+            .collect()
+    } else {
+        Vec::new()
+    };
 
     let mut comps = ComponentSlab::new(tie);
     let resources = comps.register(Comp::Resources(ResourceSoA::new(planner)));
     let lanes = comps.register(Comp::Lanes(DeviceLanes::new()));
-    let _sync = comps.register(Comp::Sync(SyncLink::new()));
+    let sync = comps.register(Comp::Sync(SyncLink::new()));
     let watch = comps.register(Comp::Observer(obs));
+
+    if faults.initial_ff() > 0 {
+        comps
+            .resources_mut(resources)
+            .quarantine_ff(faults.initial_ff())?;
+        comps
+            .observer(watch)
+            .quarantine(Seconds::ZERO, "ff units", faults.initial_ff());
+    }
+    if faults.initial_progr_dead() {
+        comps.resources_mut(resources).quarantine_progr();
+        comps
+            .observer(watch)
+            .quarantine(Seconds::ZERO, "progr pim", 1);
+    }
+    for (i, s) in faults.strikes().iter().enumerate() {
+        let seq = comps.next_seq();
+        comps.sync_mut(sync).schedule_strike(s.at, i, seq);
+    }
 
     let mut clock = Clock::new();
     let mut acc = Accumulator::default();
@@ -344,10 +549,21 @@ pub(crate) fn run_scheduled(
             else {
                 continue;
             };
-            let planned = planner.plan_cost(kind, cost);
-            let units = comps.resources_mut(resources).acquire(kind, &planned)?;
+            let attempt = if F::INJECTS {
+                attempts[key.wl][key.step * wl.deps.len() + key.op]
+            } else {
+                0
+            };
+            let (charge, outcome) = faults.attempt(
+                planner.plan_cost(kind, cost),
+                clock.now(),
+                key.wl,
+                key.step,
+                key.op,
+                attempt,
+            );
+            let units = comps.resources_mut(resources).acquire(kind, &charge)?;
             avail = comps.resources(resources).availability();
-            acc.add(&planned);
             rs.remove(&key);
             inflight += 1;
             let rec = InFlight {
@@ -355,42 +571,34 @@ pub(crate) fn run_scheduled(
                 step: key.step,
                 op: key.op,
                 kind,
-                charge: planned,
+                charge,
                 units,
-                attempt: 0,
-                outcome: AttemptOutcome::Completed,
+                attempt,
+                outcome,
                 start: clock.now(),
                 inflight_at_dispatch: inflight,
                 candidate: is_candidate,
                 live: true,
             };
-            // Record the end at the same femtosecond quantization the
-            // event heap uses, so timeline intervals match the actual
-            // resource hold times exactly.
             let seq = comps.next_seq();
             let end_fs = comps
                 .lanes_mut(lanes)
-                .dispatch(clock.now() + planned.duration, rec, seq);
-            let entry = TimelineEntry {
-                workload: key.wl,
-                step: key.step,
-                op: key.op,
-                start: clock.now(),
-                end: Clock::from_fs(end_fs),
-                resource: resource_class(&planned),
-                ff_units: units,
-                attempt: 0,
-                outcome: AttemptOutcome::Completed,
-            };
-            comps.observer(watch).record_op(&OpRecord {
-                entry,
-                planned: &planned,
-                kind,
-                cost,
-                name: wl.spec.graph.ops()[key.op].kind.tf_name(),
-                candidate: is_candidate,
-                inflight,
-            });
+                .dispatch(clock.now() + charge.duration, rec, seq);
+            if !F::INJECTS {
+                // Nothing can cut the attempt short: charge and record it
+                // now, ending at the same femtosecond quantization the
+                // event heap uses, so timeline intervals match the actual
+                // resource hold times exactly.
+                acc.add(&charge);
+                record_attempt(
+                    comps.observer(watch),
+                    wl,
+                    &rec,
+                    Clock::from_fs(end_fs),
+                    &charge,
+                    outcome,
+                );
+            }
             if units > 0 {
                 comps.observer(watch).ff_delta(clock.now(), units as isize);
             }
@@ -411,413 +619,19 @@ pub(crate) fn run_scheduled(
         }
 
         let Some(next) = comps.earliest() else {
-            if completed < total_instances {
-                return Err(PimError::internal(format!(
-                    "scheduler wedged with {completed} of {total_instances} instances done"
-                )));
-            }
-            break;
+            return Err(PimError::internal(format!(
+                "scheduler wedged with {completed} of {total_instances} instances done"
+            )));
         };
         let Some((t_fs, retired)) = comps.advance(next) else {
             unreachable!("earliest() only returns components with a pending tick")
         };
         clock.jump_to_fs(t_fs);
         // The budget check site: once per retired event at the component
-        // next-tick merge. On the unbounded default this is a counter
-        // increment plus two never-true compares.
-        gauge.tick(clock.now())?;
-        let Retired::Op(done) = retired else {
-            return Err(PimError::internal(
-                "zero-fault event core retired a non-op event",
-            ));
-        };
-        comps.resources_mut(resources).release(
-            done.units,
-            done.charge.uses_cpu,
-            done.charge.uses_progr,
-        );
-        completed += 1;
-        inflight -= 1;
-        comps.observer(watch).completed();
-        if done.units > 0 {
-            comps
-                .observer(watch)
-                .ff_delta(clock.now(), -(done.units as isize));
-        }
-
-        rs.complete(prepared, done.wl, done.step, done.op);
-    }
-    let barrier_total: Seconds = prepared
-        .iter()
-        .map(|wl| STEP_BARRIER * wl.spec.steps as f64)
-        .sum();
-    // The CPU-side runtime makes one placement decision per op instance
-    // (register queries through the Table III APIs); this serial work is
-    // not hidden by the pipeline.
-    let decisions: Seconds = if planner.cfg.mode == SystemMode::Hetero {
-        PLACEMENT_DECISION * total_instances as f64
-    } else {
-        Seconds::ZERO
-    };
-    acc.sync_raw += barrier_total + decisions;
-    let makespan = clock.now() + barrier_total + decisions;
-    comps.observer(watch).barrier(makespan, barrier_total);
-    comps.observer(watch).decision(decisions);
-    let steps = prepared.iter().map(|w| w.spec.steps).max().unwrap_or(0);
-    Ok(acc.into_report(planner, steps, makespan))
-}
-
-/// Applies one permanent strike to the serialized driver's alive-state.
-fn apply_strike_serial(
-    target: FaultTarget,
-    ff_alive: &mut usize,
-    progr_alive: &mut bool,
-    obs: &mut Observer<'_>,
-    at: Seconds,
-) {
-    match target {
-        FaultTarget::FixedUnits(n) => {
-            let n = n.min(*ff_alive);
-            *ff_alive -= n;
-            obs.quarantine(at, "ff units", n);
-        }
-        FaultTarget::ProgrPim => {
-            *progr_alive = false;
-            obs.quarantine(at, "progr pim", 1);
-        }
-    }
-}
-
-/// Sequential execution under a fault plan: the same topological order as
-/// [`run_serialized`], with per-attempt fault fates, bounded retry with
-/// exponential backoff, timeout re-dispatch, and permanent strikes taking
-/// effect at their scheduled times. Aborted attempts are charged for the
-/// fraction of the work the device actually performed.
-pub(crate) fn run_serialized_faulted(
-    planner: &Planner,
-    prepared: &[Prepared<'_>],
-    obs: &mut Observer<'_>,
-    faults: &FaultContext,
-    limits: &RunLimits,
-) -> Result<ExecutionReport> {
-    let mut acc = Accumulator::default();
-    let mut clock = Clock::new();
-    let mut gauge = limits.gauge();
-    let mut ff_alive = planner.cfg.ff_units - faults.initial_ff;
-    let mut progr_alive = !faults.initial_progr_dead;
-    if faults.initial_ff > 0 {
-        obs.quarantine(clock.now(), "ff units", faults.initial_ff);
-    }
-    if faults.initial_progr_dead {
-        obs.quarantine(clock.now(), "progr pim", 1);
-    }
-    let mut next_strike = 0usize;
-    for (w, wl) in prepared.iter().enumerate() {
-        let ops = wl.spec.graph.ops();
-        for step in 0..wl.spec.steps {
-            for &op in &wl.topo {
-                let cost = &wl.costs[op];
-                let is_candidate = wl.candidates.contains(OpId::new(op));
-                let mut attempt = 0u32;
-                loop {
-                    // Strikes due by now take effect before placement.
-                    while let Some(s) = faults.strikes.get(next_strike).copied() {
-                        if s.at > clock.now() {
-                            break;
-                        }
-                        apply_strike_serial(s.target, &mut ff_alive, &mut progr_alive, obs, s.at);
-                        next_strike += 1;
-                    }
-                    let avail = Availability {
-                        cpu_free: true,
-                        progr_free: progr_alive,
-                        ff_free: ff_alive,
-                        ff_alive,
-                        progr_alive,
-                    };
-                    let kind = planner
-                        .choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
-                        .ok_or_else(|| {
-                            PimError::internal("serialized placement found no device")
-                        })?;
-                    let mut charge = planner.plan_cost(kind, cost);
-                    let lane = lane_for(charge.ff_units, charge.uses_progr);
-                    if let Some(l) = lane {
-                        let m = faults.plan.latency_multiplier(l, clock.now());
-                        if m > 1.0 {
-                            charge = stretch_planned(&charge, m);
-                        }
-                    }
-                    let mut outcome = match decide(&faults.plan, lane, w, step, op, attempt) {
-                        Fate::Complete => AttemptOutcome::Completed,
-                        Fate::Transient(frac) => {
-                            charge = scale_planned(&charge, frac);
-                            AttemptOutcome::Transient
-                        }
-                        Fate::TimedOut => {
-                            charge = extend_timeout(&charge);
-                            AttemptOutcome::TimedOut
-                        }
-                    };
-                    let start = clock.now();
-                    let mut end = start + charge.duration;
-                    // A strike landing inside the attempt kills it at the
-                    // strike instant when it takes the resources under it.
-                    while let Some(s) = faults.strikes.get(next_strike).copied() {
-                        if s.at >= end {
-                            break;
-                        }
-                        let idle = match s.target {
-                            FaultTarget::FixedUnits(_) => ff_alive.saturating_sub(charge.ff_units),
-                            FaultTarget::ProgrPim => 0,
-                        };
-                        let kills = FaultContext::strike_kills(
-                            s.target,
-                            charge.ff_units,
-                            charge.uses_progr,
-                            idle,
-                        );
-                        apply_strike_serial(s.target, &mut ff_alive, &mut progr_alive, obs, s.at);
-                        next_strike += 1;
-                        if kills {
-                            let dur = charge.duration.seconds();
-                            let frac = if dur > 0.0 {
-                                ((s.at - start).seconds() / dur).clamp(0.0, 1.0)
-                            } else {
-                                0.0
-                            };
-                            charge = scale_planned(&charge, frac);
-                            end = s.at.max(start);
-                            outcome = AttemptOutcome::Killed;
-                            obs.killed(s.at, w, step, op);
-                            break;
-                        }
-                    }
-                    acc.add(&charge);
-                    let entry = TimelineEntry {
-                        workload: w,
-                        step,
-                        op,
-                        start,
-                        end,
-                        resource: resource_class(&charge),
-                        ff_units: charge.ff_units,
-                        attempt,
-                        outcome,
-                    };
-                    obs.record_op(&OpRecord {
-                        entry,
-                        planned: &charge,
-                        kind,
-                        cost,
-                        name: ops[op].kind.tf_name(),
-                        candidate: is_candidate,
-                        inflight: 1,
-                    });
-                    if charge.ff_units > 0 {
-                        obs.ff_delta(start, charge.ff_units as isize);
-                    }
-                    clock.advance(end - start);
-                    // One "event" per attempt (retries and re-dispatches
-                    // count — fuel must bound a run that never completes).
-                    gauge.tick(clock.now())?;
-                    if charge.ff_units > 0 {
-                        obs.ff_delta(clock.now(), -(charge.ff_units as isize));
-                    }
-                    if planner.cfg.mode == SystemMode::Hetero {
-                        clock.advance(PLACEMENT_DECISION);
-                        acc.sync_raw += PLACEMENT_DECISION;
-                        obs.decision(PLACEMENT_DECISION);
-                    }
-                    match outcome {
-                        AttemptOutcome::Completed => {
-                            obs.completed();
-                            break;
-                        }
-                        AttemptOutcome::Transient => {
-                            obs.fault(end, "transient", w, step, op);
-                            obs.retried();
-                            let backoff = backoff_after(attempt);
-                            clock.advance(backoff);
-                            acc.sync_raw += backoff;
-                        }
-                        AttemptOutcome::TimedOut => {
-                            obs.fault(end, "timed-out", w, step, op);
-                            obs.redispatched();
-                        }
-                        AttemptOutcome::Killed => {
-                            obs.retried();
-                        }
-                    }
-                    attempt += 1;
-                }
-            }
-            clock.advance(STEP_BARRIER);
-            acc.sync_raw += STEP_BARRIER;
-            obs.barrier(clock.now(), STEP_BARRIER);
-        }
-    }
-    let steps = prepared.iter().map(|w| w.spec.steps).max().unwrap_or(0);
-    Ok(acc.into_report(planner, steps, clock.now()))
-}
-
-/// Event-driven execution under a fault plan. Structured like
-/// [`run_scheduled`] — same ready set, pipeline window, and availability
-/// snapshots — with three differences: an attempt's fate is decided at
-/// dispatch, charging and recording are deferred to the attempt's end (so
-/// kills bill only the work actually performed), and permanent strikes are
-/// delivered by the link/sync component as events that kill the in-flight
-/// attempts under them.
-pub(crate) fn run_scheduled_faulted(
-    planner: &Planner,
-    prepared: &[Prepared<'_>],
-    obs: &mut Observer<'_>,
-    faults: &FaultContext,
-    tie: TieBreak,
-    limits: &RunLimits,
-) -> Result<ExecutionReport> {
-    let mut rs = ReadySet::new(prepared);
-    let mut gauge = limits.gauge();
-    // Attempt counter per instance (indexed step * ops + op).
-    let mut attempts: Vec<Vec<u32>> = prepared
-        .iter()
-        .map(|wl| vec![0u32; wl.spec.steps * wl.deps.len()])
-        .collect();
-
-    let mut comps = ComponentSlab::new(tie);
-    let resources = comps.register(Comp::Resources(ResourceSoA::new(planner)));
-    let lanes = comps.register(Comp::Lanes(DeviceLanes::new()));
-    let sync = comps.register(Comp::Sync(SyncLink::new()));
-    let watch = comps.register(Comp::Observer(obs));
-
-    if faults.initial_ff > 0 {
-        comps
-            .resources_mut(resources)
-            .quarantine_ff(faults.initial_ff)?;
-        comps
-            .observer(watch)
-            .quarantine(Seconds::ZERO, "ff units", faults.initial_ff);
-    }
-    if faults.initial_progr_dead {
-        comps.resources_mut(resources).quarantine_progr();
-        comps
-            .observer(watch)
-            .quarantine(Seconds::ZERO, "progr pim", 1);
-    }
-    for (i, s) in faults.strikes.iter().enumerate() {
-        let seq = comps.next_seq();
-        comps.sync_mut(sync).schedule_strike(s.at, i, seq);
-    }
-
-    let mut clock = Clock::new();
-    let mut acc = Accumulator::default();
-    let total_instances: usize = prepared
-        .iter()
-        .map(|wl| wl.spec.steps * wl.topo.len())
-        .sum();
-    let mut completed = 0usize;
-    let mut inflight = 0usize;
-    let mut scan: Vec<Key> = Vec::with_capacity(prepared.iter().map(|wl| wl.topo.len()).sum());
-
-    while completed < total_instances {
-        let max_window = prepared
-            .iter()
-            .enumerate()
-            .map(|(w, _)| rs.min_incomplete[w] + planner.cfg.pipeline_depth)
-            .max()
-            .unwrap_or(0);
-        scan.clear();
-        scan.extend(rs.ready.iter().take_while(|k| k.step < max_window).copied());
-        order_scan(tie, &mut scan);
-        let mut avail = comps.resources(resources).availability();
-        for &key in &scan {
-            if !avail.cpu_free && !avail.progr_free && avail.ff_free == 0 {
-                break;
-            }
-            let wl = &prepared[key.wl];
-            if key.step >= rs.min_incomplete[key.wl] + planner.cfg.pipeline_depth {
-                continue;
-            }
-            let cost = &wl.costs[key.op];
-            let is_candidate = wl.candidates.contains(OpId::new(key.op));
-            let Some(kind) = planner.choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
-            else {
-                continue;
-            };
-            let mut charge = planner.plan_cost(kind, cost);
-            let lane = lane_for(charge.ff_units, charge.uses_progr);
-            if let Some(l) = lane {
-                let m = faults.plan.latency_multiplier(l, clock.now());
-                if m > 1.0 {
-                    charge = stretch_planned(&charge, m);
-                }
-            }
-            let attempt = attempts[key.wl][key.step * wl.deps.len() + key.op];
-            let outcome = match decide(&faults.plan, lane, key.wl, key.step, key.op, attempt) {
-                Fate::Complete => AttemptOutcome::Completed,
-                Fate::Transient(frac) => {
-                    charge = scale_planned(&charge, frac);
-                    AttemptOutcome::Transient
-                }
-                Fate::TimedOut => {
-                    charge = extend_timeout(&charge);
-                    AttemptOutcome::TimedOut
-                }
-            };
-            let units = comps.resources_mut(resources).acquire(kind, &charge)?;
-            avail = comps.resources(resources).availability();
-            rs.remove(&key);
-            inflight += 1;
-            let rec = InFlight {
-                wl: key.wl,
-                step: key.step,
-                op: key.op,
-                kind,
-                charge,
-                units,
-                attempt,
-                outcome,
-                start: clock.now(),
-                inflight_at_dispatch: inflight,
-                candidate: is_candidate,
-                live: true,
-            };
-            let seq = comps.next_seq();
-            comps
-                .lanes_mut(lanes)
-                .dispatch(clock.now() + charge.duration, rec, seq);
-            if units > 0 {
-                comps.observer(watch).ff_delta(clock.now(), units as isize);
-            }
-        }
-
-        if !rs.ready.is_empty() {
-            let window_closed = rs.window_closed(planner.cfg.pipeline_depth);
-            let resource_waiting = rs.ready.len() - window_closed;
-            if resource_waiting > 0 {
-                let avail = comps.resources(resources).availability();
-                comps
-                    .observer(watch)
-                    .stall(clock.now(), resource_waiting, window_closed, avail);
-            }
-        }
-
-        let Some(next) = comps.earliest() else {
-            if completed < total_instances {
-                return Err(PimError::internal(format!(
-                    "faulted scheduler wedged with {completed} of {total_instances} \
-                     instances done"
-                )));
-            }
-            break;
-        };
-        let Some((t_fs, retired)) = comps.advance(next) else {
-            unreachable!("earliest() only returns components with a pending tick")
-        };
-        clock.jump_to_fs(t_fs);
-        // Same check site as `run_scheduled`: once per retired event at
-        // the next-tick merge (retry wakes and strikes count as events,
-        // so fuel bounds a run that keeps faulting forever).
+        // next-tick merge (retry wakes and strikes count as events, so
+        // fuel bounds a run that keeps faulting forever). On the
+        // unbounded default this is a counter increment plus two
+        // never-true compares.
         gauge.tick(clock.now())?;
         match retired {
             Retired::Stale => {} // killed by a strike; already accounted
@@ -833,28 +647,18 @@ pub(crate) fn run_scheduled_faulted(
                         .observer(watch)
                         .ff_delta(clock.now(), -(rec.units as isize));
                 }
-                acc.add(&rec.charge);
                 let wl = &prepared[rec.wl];
-                let entry = TimelineEntry {
-                    workload: rec.wl,
-                    step: rec.step,
-                    op: rec.op,
-                    start: rec.start,
-                    end: clock.now(),
-                    resource: resource_class(&rec.charge),
-                    ff_units: rec.units,
-                    attempt: rec.attempt,
-                    outcome: rec.outcome,
-                };
-                comps.observer(watch).record_op(&OpRecord {
-                    entry,
-                    planned: &rec.charge,
-                    kind: rec.kind,
-                    cost: &wl.costs[rec.op],
-                    name: wl.spec.graph.ops()[rec.op].kind.tf_name(),
-                    candidate: rec.candidate,
-                    inflight: rec.inflight_at_dispatch,
-                });
+                if F::INJECTS {
+                    acc.add(&rec.charge);
+                    record_attempt(
+                        comps.observer(watch),
+                        wl,
+                        &rec,
+                        clock.now(),
+                        &rec.charge,
+                        rec.outcome,
+                    );
+                }
                 match rec.outcome {
                     AttemptOutcome::Completed => {
                         completed += 1;
@@ -862,6 +666,7 @@ pub(crate) fn run_scheduled_faulted(
                         rs.complete(prepared, rec.wl, rec.step, rec.op);
                     }
                     AttemptOutcome::Transient => {
+                        attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
                         comps.observer(watch).fault(
                             clock.now(),
                             "transient",
@@ -870,7 +675,6 @@ pub(crate) fn run_scheduled_faulted(
                             rec.op,
                         );
                         comps.observer(watch).retried();
-                        attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
                         let seq = comps.next_seq();
                         comps.sync_mut(sync).schedule_retry(
                             clock.now() + backoff_after(rec.attempt),
@@ -881,6 +685,7 @@ pub(crate) fn run_scheduled_faulted(
                         );
                     }
                     AttemptOutcome::TimedOut => {
+                        attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
                         comps.observer(watch).fault(
                             clock.now(),
                             "timed-out",
@@ -889,29 +694,16 @@ pub(crate) fn run_scheduled_faulted(
                             rec.op,
                         );
                         comps.observer(watch).redispatched();
-                        attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
-                        rs.insert(Key {
-                            step: rec.step,
-                            rank: wl.rank[rec.op],
-                            wl: rec.wl,
-                            op: rec.op,
-                        });
+                        rs.requeue(prepared, rec.wl, rec.step, rec.op);
                     }
                     AttemptOutcome::Killed => {
                         unreachable!("live in-flight records never carry Killed")
                     }
                 }
             }
-            Retired::Retry { wl, step, op } => {
-                rs.insert(Key {
-                    step,
-                    rank: prepared[wl].rank[op],
-                    wl,
-                    op,
-                });
-            }
+            Retired::Retry { wl, step, op } => rs.requeue(prepared, wl, step, op),
             Retired::Strike(i) => {
-                let s = faults.strikes[i];
+                let s = faults.strikes()[i];
                 let lost = match s.target {
                     FaultTarget::FixedUnits(n) => n.min(comps.resources(resources).alive_ff()),
                     FaultTarget::ProgrPim => 0,
@@ -955,37 +747,20 @@ pub(crate) fn run_scheduled_faulted(
                     let partial = scale_planned(&rec.charge, frac);
                     acc.add(&partial);
                     let wl = &prepared[rec.wl];
-                    let entry = TimelineEntry {
-                        workload: rec.wl,
-                        step: rec.step,
-                        op: rec.op,
-                        start: rec.start,
-                        end: clock.now(),
-                        resource: resource_class(&rec.charge),
-                        ff_units: rec.units,
-                        attempt: rec.attempt,
-                        outcome: AttemptOutcome::Killed,
-                    };
-                    comps.observer(watch).record_op(&OpRecord {
-                        entry,
-                        planned: &partial,
-                        kind: rec.kind,
-                        cost: &wl.costs[rec.op],
-                        name: wl.spec.graph.ops()[rec.op].kind.tf_name(),
-                        candidate: rec.candidate,
-                        inflight: rec.inflight_at_dispatch,
-                    });
+                    record_attempt(
+                        comps.observer(watch),
+                        wl,
+                        &rec,
+                        clock.now(),
+                        &partial,
+                        AttemptOutcome::Killed,
+                    );
                     comps
                         .observer(watch)
                         .killed(clock.now(), rec.wl, rec.step, rec.op);
                     comps.observer(watch).retried();
                     attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
-                    rs.insert(Key {
-                        step: rec.step,
-                        rank: wl.rank[rec.op],
-                        wl: rec.wl,
-                        op: rec.op,
-                    });
+                    rs.requeue(prepared, rec.wl, rec.step, rec.op);
                 }
                 match s.target {
                     FaultTarget::FixedUnits(_) => {
@@ -1011,6 +786,9 @@ pub(crate) fn run_scheduled_faulted(
         .iter()
         .map(|wl| STEP_BARRIER * wl.spec.steps as f64)
         .sum();
+    // The CPU-side runtime makes one placement decision per op instance
+    // (register queries through the Table III APIs); this serial work is
+    // not hidden by the pipeline.
     let decisions: Seconds = if planner.cfg.mode == SystemMode::Hetero {
         PLACEMENT_DECISION * total_instances as f64
     } else {

@@ -16,8 +16,6 @@
 
 pub use super::components::PROGR_KERNEL_SLOTS;
 pub use super::drivers::{run_device_serial, DeviceRun};
-pub(crate) use super::drivers::{
-    run_scheduled, run_scheduled_faulted, run_serialized, run_serialized_faulted,
-};
+pub(crate) use super::drivers::{run_scheduled, run_serialized};
 pub use super::observe::{NullSink, ResourceClass, TimelineEntry, TimelineSink, VecSink};
 pub(crate) use super::observe::{Observer, SCHED_TRACK};

@@ -77,7 +77,7 @@ pub fn lane_for(ff_units: usize, uses_progr: bool) -> Option<FaultLane> {
 
 /// What the plan decrees for one attempt, decided at dispatch.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Fate {
+enum Fate {
     Complete,
     /// Fails after this fraction of the attempt's duration.
     Transient(f64),
@@ -85,7 +85,7 @@ pub(crate) enum Fate {
 }
 
 /// Decides an attempt's fate. The last allowed attempt always completes.
-pub(crate) fn decide(
+fn decide(
     plan: &FaultPlan,
     lane: Option<FaultLane>,
     wl: usize,
@@ -124,7 +124,7 @@ pub(crate) fn scale_planned(p: &PlannedOp, f: f64) -> PlannedOp {
 
 /// Stretches only the wall-clock parts by a straggler multiplier; the
 /// device performs the same work, so energy is unchanged.
-pub(crate) fn stretch_planned(p: &PlannedOp, f: f64) -> PlannedOp {
+fn stretch_planned(p: &PlannedOp, f: f64) -> PlannedOp {
     PlannedOp {
         duration: p.duration * f,
         op_part: p.op_part * f,
@@ -138,11 +138,82 @@ pub(crate) fn stretch_planned(p: &PlannedOp, f: f64) -> PlannedOp {
 /// Extends a timed-out attempt by the detection window: the resources stay
 /// held (the host cannot reclaim what it cannot reach) and the wait is
 /// synchronization time.
-pub(crate) fn extend_timeout(p: &PlannedOp) -> PlannedOp {
+fn extend_timeout(p: &PlannedOp) -> PlannedOp {
     PlannedOp {
         duration: p.duration + LINK_TIMEOUT,
         sync_part: p.sync_part + LINK_TIMEOUT,
         ..*p
+    }
+}
+
+/// The fault source a driver runs against: the quarantine in force when
+/// the run starts, the mid-run strike schedule, and each attempt's
+/// straggler stretch and fate.
+///
+/// [`NoFaults`] answers every question with a constant, so the drivers
+/// monomorphized over it keep the zero-fault hot path; [`FaultContext`]
+/// answers from a [`FaultPlan`].
+pub(crate) trait FaultModel {
+    /// Whether an attempt can end other than by completing. Drivers over
+    /// such a model charge and record each attempt when it retires, so a
+    /// strike kill bills only the work performed; otherwise they charge
+    /// and record at dispatch, the accumulation order the fault-free
+    /// golden reports pin bit-for-bit.
+    const INJECTS: bool;
+
+    /// Fixed-function units quarantined before the run starts.
+    fn initial_ff(&self) -> usize;
+
+    /// Whether the programmable PIM is quarantined before the run starts.
+    fn initial_progr_dead(&self) -> bool;
+
+    /// Mid-run fail-stop faults (`at > 0`), in strike order.
+    fn strikes(&self) -> &[PermanentFault];
+
+    /// The charge and outcome of attempt `attempt` of `(wl, step, op)`,
+    /// dispatched at `at` with the uncontended plan `planned`: stretched
+    /// by any straggler window, then cut short (transient) or extended by
+    /// the link timeout as the fate decrees.
+    fn attempt(
+        &self,
+        planned: PlannedOp,
+        at: Seconds,
+        wl: usize,
+        step: usize,
+        op: usize,
+        attempt: u32,
+    ) -> (PlannedOp, AttemptOutcome);
+}
+
+/// The fault-free model: nothing is quarantined, nothing strikes, and
+/// every attempt completes at its planned cost.
+pub(crate) struct NoFaults;
+
+impl FaultModel for NoFaults {
+    const INJECTS: bool = false;
+
+    fn initial_ff(&self) -> usize {
+        0
+    }
+
+    fn initial_progr_dead(&self) -> bool {
+        false
+    }
+
+    fn strikes(&self) -> &[PermanentFault] {
+        &[]
+    }
+
+    fn attempt(
+        &self,
+        planned: PlannedOp,
+        _at: Seconds,
+        _wl: usize,
+        _step: usize,
+        _op: usize,
+        _attempt: u32,
+    ) -> (PlannedOp, AttemptOutcome) {
+        (planned, AttemptOutcome::Completed)
     }
 }
 
@@ -184,6 +255,46 @@ impl FaultContext {
         match target {
             FaultTarget::FixedUnits(n) => ff_units > 0 && n > idle_ff,
             FaultTarget::ProgrPim => uses_progr,
+        }
+    }
+}
+
+impl FaultModel for FaultContext {
+    const INJECTS: bool = true;
+
+    fn initial_ff(&self) -> usize {
+        self.initial_ff
+    }
+
+    fn initial_progr_dead(&self) -> bool {
+        self.initial_progr_dead
+    }
+
+    fn strikes(&self) -> &[PermanentFault] {
+        &self.strikes
+    }
+
+    fn attempt(
+        &self,
+        planned: PlannedOp,
+        at: Seconds,
+        wl: usize,
+        step: usize,
+        op: usize,
+        attempt: u32,
+    ) -> (PlannedOp, AttemptOutcome) {
+        let mut charge = planned;
+        let lane = lane_for(charge.ff_units, charge.uses_progr);
+        if let Some(l) = lane {
+            let m = self.plan.latency_multiplier(l, at);
+            if m > 1.0 {
+                charge = stretch_planned(&charge, m);
+            }
+        }
+        match decide(&self.plan, lane, wl, step, op, attempt) {
+            Fate::Complete => (charge, AttemptOutcome::Completed),
+            Fate::Transient(frac) => (scale_planned(&charge, frac), AttemptOutcome::Transient),
+            Fate::TimedOut => (extend_timeout(&charge), AttemptOutcome::TimedOut),
         }
     }
 }

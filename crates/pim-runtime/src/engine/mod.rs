@@ -58,7 +58,7 @@ use crate::select::{select_candidates_tie_traced, select_candidates_traced, Cand
 use crate::stats::ExecutionReport;
 use crate::verify::{ResourceLimits, WorkloadFacts};
 use events::Observer;
-use faults::FaultContext;
+use faults::{FaultContext, FaultModel, NoFaults};
 use pim_common::trace::{Counters, NullTrace, TraceRecording};
 use pim_common::units::Seconds;
 use pim_common::{Diagnostics, PimError, Result};
@@ -302,9 +302,7 @@ pub(crate) struct Prepared<'g> {
 pub struct RunOptions {
     /// Collect the per-instance execution timeline.
     pub timeline: bool,
-    /// Record a Chrome-trace span recording. Requires the `trace` cargo
-    /// feature; without it the request is ignored and
-    /// [`RunOutput::trace`] stays `None`.
+    /// Record a Chrome-trace span recording into [`RunOutput::trace`].
     pub trace: bool,
     /// Tie-break policy for candidate ranking, dispatch-scan order, and
     /// event retire order. The default, [`TieBreak::Stable`], is the
@@ -454,9 +452,8 @@ pub struct RunOutput {
     /// order (see the `components` module docs for the determinism
     /// argument).
     pub timeline: Option<Vec<TimelineEntry>>,
-    /// The span recording, when [`RunOptions::trace`] was set and the
-    /// `trace` feature is compiled in. Partitioned runs do not record
-    /// traces.
+    /// The span recording, when [`RunOptions::trace`] was set.
+    /// Partitioned runs do not record traces.
     pub trace: Option<TraceRecording>,
     /// The run's counter registry (ops placed per device, events
     /// dispatched, busy seconds, bytes moved, sync stalls, fault
@@ -571,9 +568,10 @@ impl Engine {
     /// (e.g. every fixed-function unit at `t <= 0`), the configuration
     /// *collapses* to the strongest surviving preset along the paper's
     /// fixed → programmable → host chain before executing, and
-    /// [`RunOutput::degraded`] names it. With [`FaultPlan::none`] the
-    /// untouched fault-free drivers run and the output is byte-identical
-    /// to the pre-fault-support engine.
+    /// [`RunOutput::degraded`] names it. The drivers are generic over the
+    /// fault model: with [`FaultPlan::none`] they run monomorphized over
+    /// the constant fault-free model, and the output is byte-identical to
+    /// the pre-fault-support engine.
     ///
     /// A [`Partitioning::Partitioned`] request gives each workload the
     /// whole machine to itself on its own event core — on its own thread
@@ -758,45 +756,33 @@ impl Engine {
         let faults = (!plan.is_none()).then(|| FaultContext::new(plan, self.planner.cfg.ff_units));
 
         let mut null = NullTrace;
-        #[cfg(feature = "trace")]
         let mut recorder = pim_common::trace::Recorder::new();
-        #[cfg(feature = "trace")]
         let tracer: &mut dyn pim_common::trace::TraceSink =
             if opts.trace { &mut recorder } else { &mut null };
-        #[cfg(not(feature = "trace"))]
-        let tracer: &mut dyn pim_common::trace::TraceSink = &mut null;
 
         let prepared = self.prepare(workloads, &mut *tracer, opts.tie)?;
         let mut counters = Counters::new();
 
-        let (report, entries) = if opts.timeline || verify {
-            let mut sink = VecSink::default();
-            let report = {
-                let mut obs = Observer::new(
-                    &mut sink,
-                    &mut counters,
-                    self.planner.cfg.ff_units,
-                    &mut *tracer,
-                    &self.planner.cfg.name,
-                );
-                let report = self.drive(&prepared, &mut obs, faults.as_ref(), opts.tie, limits)?;
-                obs.finish();
-                report
-            };
-            (report, Some(sink.into_entries()))
-        } else {
-            let mut sink = NullSink;
+        let collect = opts.timeline || verify;
+        let mut entries = VecSink::default();
+        let mut discard = NullSink;
+        let sink: &mut dyn TimelineSink = if collect { &mut entries } else { &mut discard };
+        let report = {
             let mut obs = Observer::new(
-                &mut sink,
+                sink,
                 &mut counters,
                 self.planner.cfg.ff_units,
                 &mut *tracer,
                 &self.planner.cfg.name,
             );
-            let report = self.drive(&prepared, &mut obs, faults.as_ref(), opts.tie, limits)?;
+            let report = match &faults {
+                None => self.drive(&prepared, &mut obs, &NoFaults, opts.tie, limits),
+                Some(f) => self.drive(&prepared, &mut obs, f, opts.tie, limits),
+            }?;
             obs.finish();
-            (report, None)
+            report
         };
+        let entries = collect.then(|| entries.into_entries());
 
         if verify {
             let entries = entries.as_deref().unwrap_or(&[]);
@@ -811,15 +797,10 @@ impl Engine {
             );
         }
 
-        #[cfg(feature = "trace")]
-        let trace = opts.trace.then(|| recorder.into_recording());
-        #[cfg(not(feature = "trace"))]
-        let trace = None;
-
         Ok(RunOutput {
             reports: vec![report],
             timeline: if opts.timeline { entries } else { None },
-            trace,
+            trace: opts.trace.then(|| recorder.into_recording()),
             counters,
             degraded: None,
         })
@@ -835,35 +816,23 @@ impl Engine {
         Ok(self.execute(&RunRequest::new(workloads))?.into_report())
     }
 
-    /// Dispatches prepared workloads to the configured execution driver.
-    /// Fault-free runs take the unchanged hot paths; a fault context
-    /// selects the fault-aware twins.
-    fn drive(
+    /// Dispatches prepared workloads to the configured execution driver,
+    /// monomorphized over the run's fault model.
+    fn drive<F: FaultModel>(
         &self,
         prepared: &[Prepared<'_>],
         obs: &mut Observer<'_>,
-        faults: Option<&FaultContext>,
+        faults: &F,
         tie: TieBreak,
         limits: &RunLimits,
     ) -> Result<ExecutionReport> {
-        // The serialized drivers execute one op at a time in topological
-        // order — there is no tie surface to permute, so they ignore the
+        // The serialized driver executes one op at a time in topological
+        // order — there is no tie surface to permute, so it ignores the
         // policy (candidate selection already saw it in `prepare`).
-        match faults {
-            None => {
-                if self.planner.cfg.operation_pipeline {
-                    events::run_scheduled(&self.planner, prepared, obs, tie, limits)
-                } else {
-                    events::run_serialized(&self.planner, prepared, obs, limits)
-                }
-            }
-            Some(f) => {
-                if self.planner.cfg.operation_pipeline {
-                    events::run_scheduled_faulted(&self.planner, prepared, obs, f, tie, limits)
-                } else {
-                    events::run_serialized_faulted(&self.planner, prepared, obs, f, limits)
-                }
-            }
+        if self.planner.cfg.operation_pipeline {
+            events::run_scheduled(&self.planner, prepared, obs, faults, tie, limits)
+        } else {
+            events::run_serialized(&self.planner, prepared, obs, faults, limits)
         }
     }
 
@@ -948,7 +917,7 @@ impl Engine {
             pipeline_depth: cfg.operation_pipeline.then_some(cfg.pipeline_depth),
         };
         let pool = FixedFunctionPool::new(self.planner.pool_cfg().clone());
-        crate::verify::check_timeline_faulted(&facts, timeline, &limits, &pool, plan)
+        crate::verify::check_timeline(&facts, timeline, &limits, &pool, plan)
     }
 
     /// Like [`Engine::run`], additionally returning the per-instance

@@ -308,6 +308,62 @@ mod fault_tests {
         assert!(out.report().is_well_formed());
         assert!(out.counters.get("faults/quarantined_units") >= 1.0);
     }
+
+    #[test]
+    fn a_plan_that_never_fires_places_like_the_fault_free_path() {
+        // The strike lands long after the run ends, so the fault-model
+        // drivers see a live plan that injects nothing: every placement
+        // must match the fault-free drivers'. Faulted runs record at
+        // retirement and charge in that order, hence the sorted timeline
+        // and the last-ulp tolerance on the accumulated fields.
+        fn close(a: f64, b: f64) -> bool {
+            (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+        }
+        fn sorted(mut t: Vec<TimelineEntry>) -> Vec<TimelineEntry> {
+            t.sort_by_key(|e| (e.workload, e.step, e.op, e.attempt));
+            t
+        }
+        let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
+        let opts = RunOptions {
+            timeline: true,
+            ..RunOptions::default()
+        };
+        for preset in SystemPreset::ALL {
+            let engine = Engine::new(EngineConfig::preset(preset));
+            let plain = engine.run_with(&[spec(&model, 2)], &opts).unwrap();
+            let plan = FaultPlan::none()
+                .with_permanent(plain.report().makespan * 10.0, FaultTarget::ProgrPim);
+            let faulted = engine
+                .run_with_faults(&[spec(&model, 2)], &opts, &plan)
+                .unwrap();
+            assert!(faulted.degraded.is_none(), "{preset:?}");
+            assert_eq!(
+                sorted(plain.timeline.clone().unwrap()),
+                sorted(faulted.timeline.clone().unwrap()),
+                "{preset:?}"
+            );
+            let (a, b) = (plain.report(), faulted.report());
+            assert_eq!(a.makespan, b.makespan, "{preset:?}");
+            assert_eq!((&a.system, a.steps), (&b.system, b.steps), "{preset:?}");
+            for (x, y) in [
+                (a.op_time.seconds(), b.op_time.seconds()),
+                (
+                    a.data_movement_time.seconds(),
+                    b.data_movement_time.seconds(),
+                ),
+                (a.sync_time.seconds(), b.sync_time.seconds()),
+                (a.dynamic_energy.joules(), b.dynamic_energy.joules()),
+                (a.ff_utilization, b.ff_utilization),
+            ] {
+                assert!(close(x, y), "{preset:?}: {x:?} vs {y:?}");
+            }
+            assert!(a.device_busy.keys().eq(b.device_busy.keys()), "{preset:?}");
+            for (device, busy) in &a.device_busy {
+                let other = b.device_busy[device].seconds();
+                assert!(close(busy.seconds(), other), "{preset:?} {device}");
+            }
+        }
+    }
 }
 
 mod limit_tests {

@@ -281,6 +281,12 @@ mod tests {
         let profile = vgg_profile();
         let total_invocations: usize = profile.by_name().iter().map(|r| r.invocations).sum();
         assert_eq!(total_invocations, profile.ops.len());
+        // Table I's other two profiled models rank non-empty too.
+        for kind in [ModelKind::AlexNet, ModelKind::Dcgan] {
+            let model = Model::build(kind).unwrap();
+            let profile = profile_step(model.graph(), &CpuDevice::xeon_e5_2630_v3()).unwrap();
+            assert!(!profile.by_name().is_empty(), "{kind}");
+        }
     }
 
     #[test]

@@ -117,23 +117,6 @@ pub fn split_partitions(timeline: &[TimelineEntry], partitions: usize) -> Vec<Ve
     parts
 }
 
-/// Checks one recorded timeline against the workload facts, resource
-/// budgets, and the fixed-function pool's capability rule.
-///
-/// `fixed` is the device model answering [`Device::accepts`] for
-/// whole-kernel fixed-function placements ([`ResourceClass::Fixed`]);
-/// split placements only require the cost to have a multiply/add part.
-/// [`ResourceClass::Baseline`] entries belong to standalone devices
-/// outside the heterogeneous stack and are checked for time validity only.
-pub fn check_timeline(
-    facts: &[WorkloadFacts],
-    timeline: &[TimelineEntry],
-    limits: &ResourceLimits,
-    fixed: &dyn Device,
-) -> Diagnostics {
-    check_timeline_faulted(facts, timeline, limits, fixed, None)
-}
-
 /// The fault lane an entry's recorded resources live on, mirroring the
 /// engine's dispatch-side classification.
 fn entry_lane(e: &TimelineEntry) -> Option<FaultLane> {
@@ -146,9 +129,17 @@ fn entry_lane(e: &TimelineEntry) -> Option<FaultLane> {
     }
 }
 
-/// [`check_timeline`] extended with fault-awareness. With `plan: None`
-/// the timeline must be fault-free: every entry attempt 0, outcome
-/// `Completed`. With a plan, the checker additionally validates:
+/// Checks one recorded timeline against the workload facts, resource
+/// budgets, and the fixed-function pool's capability rule.
+///
+/// `fixed` is the device model answering [`Device::accepts`] for
+/// whole-kernel fixed-function placements ([`ResourceClass::Fixed`]);
+/// split placements only require the cost to have a multiply/add part.
+/// [`ResourceClass::Baseline`] entries belong to standalone devices
+/// outside the heterogeneous stack and are checked for time validity only.
+///
+/// With `plan: None` the timeline must be fault-free: every entry attempt
+/// 0, outcome `Completed`. With a plan, the checker additionally validates:
 ///
 /// * **attempt chains** — contiguous attempt numbers per instance, with
 ///   exactly the last attempt completing, transient retries spaced by at
@@ -160,7 +151,7 @@ fn entry_lane(e: &TimelineEntry) -> Option<FaultLane> {
 /// * **capacity under quarantine** — the exclusivity sweep shrinks the
 ///   fixed-function pool and programmable-PIM budgets at each permanent
 ///   fault's strike time.
-pub fn check_timeline_faulted(
+pub fn check_timeline(
     facts: &[WorkloadFacts],
     timeline: &[TimelineEntry],
     limits: &ResourceLimits,
@@ -716,7 +707,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts(), &timeline, &limits(), &pool(), None);
         assert!(diags.is_clean(), "{}", diags.render_text());
     }
 
@@ -726,7 +717,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 0.5, 1.5, ResourceClass::Cpu), // starts before its dep ends
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts(), &timeline, &limits(), &pool(), None);
         assert_eq!(diags.error_count(), 1);
         assert!(diags.render_text().contains("before dependency op0"));
     }
@@ -739,7 +730,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Cpu),
             entry(1, 0.5, 1.5, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts, &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts, &timeline, &limits(), &pool(), None);
         assert_eq!(diags.error_count(), 1);
         assert!(diags.render_text().contains("double-books the CPU"));
     }
@@ -750,7 +741,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(0, 1.0, 2.0, ResourceClass::Fixed),
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts(), &timeline, &limits(), &pool(), None);
         let text = diags.render_text();
         assert!(text.contains("more than once"), "{text}");
         assert!(text.contains("never scheduled"), "{text}");
@@ -762,7 +753,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 1.0, 2.0, ResourceClass::Fixed), // Relu on the pool
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts(), &timeline, &limits(), &pool(), None);
         assert_eq!(diags.error_count(), 1);
         assert!(diags.render_text().contains("rejects class"));
     }
@@ -775,7 +766,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts, &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts, &timeline, &limits(), &pool(), None);
         assert!(diags.render_text().contains("restricted workload"));
     }
 
@@ -787,7 +778,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Cpu),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts, &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts, &timeline, &limits(), &pool(), None);
         assert!(diags.is_clean(), "{}", diags.render_text());
     }
 
@@ -812,7 +803,7 @@ mod tests {
             ),
             entry(1, 2.1, 3.1, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline(&facts(), &timeline, &limits(), &pool(), None);
         let text = diags.render_text();
         assert!(
             text.contains("fault-free timeline carries attempt"),
@@ -864,7 +855,7 @@ mod tests {
             ),
             entry(1, 4.3, 5.3, ResourceClass::Cpu),
         ];
-        let diags = check_timeline_faulted(&facts(), &timeline, &limits(), &pool(), Some(&plan));
+        let diags = check_timeline(&facts(), &timeline, &limits(), &pool(), Some(&plan));
         assert!(diags.is_clean(), "{}", diags.render_text());
     }
 
@@ -918,7 +909,7 @@ mod tests {
                 AttemptOutcome::Completed,
             ),
         ];
-        let diags = check_timeline_faulted(&facts(), &timeline, &limits(), &pool(), Some(&plan));
+        let diags = check_timeline(&facts(), &timeline, &limits(), &pool(), Some(&plan));
         let text = diags.render_text();
         assert!(
             text.contains("before the previous attempt's end plus backoff"),
@@ -940,7 +931,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
         ];
-        let diags = check_timeline_faulted(&facts, &timeline, &limits(), &pool(), Some(&plan));
+        let diags = check_timeline(&facts, &timeline, &limits(), &pool(), Some(&plan));
         let text = diags.render_text();
         assert!(text.contains("held past a quarantine"), "{text}");
     }

@@ -303,6 +303,22 @@ fn invalid_utf8_lines_error_per_line_and_the_connection_survives() {
 }
 
 #[test]
+fn over_deep_lines_error_once_and_the_connection_survives() {
+    // 50 KB of `[` fits under the line cap but would overflow the stack
+    // of an unbounded recursive-descent parser.
+    let deep = "[".repeat(50_000);
+    let input = format!(
+        "{{\"id\":\"before\",\"model\":\"alex\"}}\n{deep}\n{{\"id\":\"after\",\"model\":\"lstm\"}}\n"
+    );
+    let (lines, _) = serve(&small_cfg(), &MemStore::default(), &input);
+    assert_eq!(lines.len(), 3);
+    assert!(lines[0].contains("\"id\":\"before\"") && lines[0].contains("\"status\":\"ok\""));
+    assert!(lines[1].starts_with("{\"id\":null") && lines[1].contains("\"error\":\"malformed\""));
+    assert!(lines[1].contains("nesting deeper than"), "{}", lines[1]);
+    assert!(lines[2].contains("\"id\":\"after\"") && lines[2].contains("\"status\":\"ok\""));
+}
+
+#[test]
 fn deadlines_cut_off_runaways_without_touching_other_tenants() {
     // alex at 4 steps costs (1+4)*4 = 20 toy-ms: a 10ms deadline trips,
     // and the identical cell without a deadline (another tenant, same

@@ -28,8 +28,7 @@ use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, Worklo
 ///
 /// # Errors
 ///
-/// Propagates model-build and engine failures, or an unsupported error
-/// when the `trace` feature is compiled out.
+/// Propagates model-build and engine failures.
 pub fn chrome_trace(
     kind: ModelKind,
     batch: usize,
@@ -50,11 +49,8 @@ pub fn chrome_trace(
         }],
         &opts,
     )?;
-    let recording = out.trace.ok_or_else(|| {
-        PimError::invalid(
-            "chrome_trace",
-            "span tracing requires the `trace` cargo feature of pim-sim",
-        )
-    })?;
+    let recording = out
+        .trace
+        .ok_or_else(|| PimError::internal("requested trace missing from run output"))?;
     Ok(recording.to_chrome_json())
 }

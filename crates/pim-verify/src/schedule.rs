@@ -67,7 +67,7 @@ pub fn verify_schedule(
 /// Simulates `steps` steps of `graph` under `cfg` with a fault plan
 /// seeded from `(seed, rate)` over the configuration's fault-free
 /// horizon, then replays the recorded timeline through the fault-aware
-/// legality checker ([`pim_runtime::verify::check_timeline_faulted`]):
+/// legality checker ([`pim_runtime::verify::check_timeline`]):
 /// attempt chains, backoff spacing, plan consistency, and capacity under
 /// quarantine, on top of every fault-free rule.
 pub fn verify_faulted_schedule(
