@@ -61,21 +61,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo test -q
 cargo test --workspace -q
 
-# pim-runtime must also build on its own, outside the workspace's feature
-# unification.
+# The benchmark (perfbench/, its own workspace) builds against the public
+# API of these crates: build it and run its unit tests so an API change
+# that breaks it fails here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# pim-runtime must also build on its own, outside the workspace's
+# dependency-feature unification.
 cargo check -q -p pim-runtime
 
-# The differential suite (50 seeded random graphs x 6 presets, optimized
-# vs reference engine paths) runs under the workspace tests with the
-# `parallel` feature on; re-run it with `parallel` off so both sweep
-# drivers stay behaviour-identical.
-cargo test -q -p pim-sim --no-default-features --test differential
-
-# Seeded fault suite with `parallel` off (the workspace run above covers
-# `parallel` on): engine recovery, the none-plan differential guard, and
-# the fault-aware legality checker must not depend on the sweep driver.
-cargo test -q -p pim-runtime --no-default-features fault
-cargo test -q -p pim-sim --no-default-features --test fault_differential
+# Seeded fault suite pinned to one worker (the workspace run above uses
+# the machine's default): engine recovery, the none-plan differential
+# guard, and the fault-aware legality checker must not depend on the
+# worker count.
+PIM_RUN_THREADS=1 cargo test -q -p pim-runtime fault
+PIM_RUN_THREADS=1 cargo test -q -p pim-sim --test fault_differential
 
 # Static checker: every model graph, binary set, schedule, and report must
 # come back with zero error-severity diagnostics (exit code gates).
@@ -127,13 +127,12 @@ cargo run --release -q -p pim-verify -- \
     --model alexnet --model lstm --steps 2 --faults 1,0.05 --format json > /dev/null
 
 # Order-invariance fuzz smoke (pass 5): 2 models x 8 seeded orders x
-# 2 presets through the differential driver, with the sweep-level
-# `parallel` feature on and off — the tie-break audit must not depend
-# on the sweep driver. `repro fuzz` exits 1 on any divergence.
+# 2 presets through the differential driver, at the default worker count
+# and pinned to one worker — the tie-break audit must not depend on the
+# sweep driver. `repro fuzz` exits 1 on any divergence.
 cargo run --release -q -p pim-sim --bin repro -- \
     fuzz --models alex,lstm --seeds 8 --presets hetero,progr > /dev/null
-cargo run --release -q -p pim-sim --bin repro \
-    --no-default-features -- \
+PIM_RUN_THREADS=1 cargo run --release -q -p pim-sim --bin repro -- \
     fuzz --models alex,lstm --seeds 8 --presets hetero,progr > /dev/null
 
 # Static order-invariance gate: pass 5 over every model with 4 permuted
@@ -144,15 +143,15 @@ cargo run --release -q -p pim-verify -- \
 # ISA ground-truth smoke (pass 6): every model's kernels lowered to the
 # pim-isa micro-ISA, validated, interpreted, and tally-matched against
 # the Fig. 4 extraction exactly; then the analytic-vs-interpreted delta
-# table byte-diffed across runs, with the sweep-level `parallel` feature
-# on and off — the interpreted backend must not depend on the driver.
+# table byte-diffed across runs, at the default worker count and pinned
+# to one worker — the interpreted backend must not depend on the driver.
 isa_a=$(mktemp) isa_b=$(mktemp)
 trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "$faults_a" "$faults_b" "$isa_a" "$isa_b" "${bench_json:-}"' EXIT
 cargo run --release -q -p pim-verify -- \
     --all-models --isa --format json > /dev/null
 cargo run --release -q -p pim-sim --bin repro -- isa > "$isa_a"
-cargo run --release -q -p pim-sim --bin repro \
-    --no-default-features -- isa > "$isa_b"
+PIM_RUN_THREADS=1 cargo run --release -q -p pim-sim --bin repro -- \
+    isa > "$isa_b"
 diff "$isa_a" "$isa_b"
 
 # Serve smoke: boot the daemon on stdin, replay a seeded load trace

@@ -12,16 +12,13 @@
 //! which takes a [`RunRequest`] — workloads, [`RunOptions`], a
 //! [`FaultPlan`], and a [`Partitioning`] — and returns a [`RunOutput`]
 //! carrying the reports plus any requested observability artifacts
-//! (timeline, counters, Chrome-trace recording). [`Engine::run`],
-//! [`Engine::run_with`], [`Engine::run_detailed`], [`Engine::run_many`],
-//! [`Engine::run_with_faults`], and [`Engine::run_many_with`] are thin
-//! wrappers that build the corresponding request. The same `RunRequest`
+//! (timeline, counters, Chrome-trace recording). The same `RunRequest`
 //! doubles as the content-addressed identity of a simulation:
 //! [`RunRequest::fingerprint`] keys the shared result store of
 //! `pim-serve`, so the in-process API, the wire protocol, and the cache
 //! key are one object.
 //!
-//! The engine is a thin facade over the core submodules:
+//! The engine sits on four core submodules:
 //!
 //! * `placement` — the placement policy (`Planner`): the three scheduling
 //!   principles costed through the `pim-hw` `Device` trait,
@@ -30,12 +27,10 @@
 //!   event heap),
 //! * `observe` — timeline sinks and the observability `Observer`,
 //! * `drivers` — the execution drivers, including [`run_device_serial`]
-//!   which the `pim-sim` baselines use,
-//! * `events` — the historical facade re-exporting the three above.
+//!   which the `pim-sim` baselines use.
 
 mod components;
 mod drivers;
-mod events;
 pub mod faults;
 mod limits;
 mod observe;
@@ -45,21 +40,19 @@ mod tests;
 
 pub use limits::{CancelToken, RunLimits};
 
-pub(crate) use events::SCHED_TRACK;
-pub use events::{
-    run_device_serial, DeviceRun, NullSink, ResourceClass, TimelineEntry, TimelineSink, VecSink,
-    PROGR_KERNEL_SLOTS,
-};
+pub use components::PROGR_KERNEL_SLOTS;
+pub use drivers::{run_device_serial, DeviceRun};
 pub use faults::{backoff_after, AttemptOutcome, BACKOFF_BASE, LINK_TIMEOUT, MAX_ATTEMPTS};
+pub use observe::{NullSink, ResourceClass, TimelineEntry, TimelineSink, VecSink};
 
 use crate::fuzz::TieBreak;
-use crate::profiler::profile_step_cached_traced;
-use crate::select::{select_candidates_tie_traced, select_candidates_traced, CandidateSet};
+use crate::profiler::profile_step_cached;
+use crate::select::{select_candidates, select_candidates_tie, CandidateSet};
 use crate::stats::ExecutionReport;
 use crate::verify::{ResourceLimits, WorkloadFacts};
-use events::Observer;
 use faults::{FaultContext, FaultModel, NoFaults};
-use pim_common::trace::{Counters, NullTrace, TraceRecording};
+use observe::{Observer, SCHED_TRACK};
+use pim_common::trace::{Counters, NullTrace, TraceEvent, TraceRecording, TraceSink};
 use pim_common::units::Seconds;
 use pim_common::{Diagnostics, PimError, Result};
 use pim_graph::cost::graph_costs;
@@ -293,11 +286,10 @@ pub(crate) struct Prepared<'g> {
     pub rank: Vec<usize>,
 }
 
-/// Knobs for one [`Engine::run_with`] invocation: which observability
-/// artifacts to materialize alongside the report.
+/// Knobs for one [`RunRequest`]: which observability artifacts to
+/// materialize alongside the report, and the tie-break policy.
 ///
-/// The default requests nothing extra — `run_with(wls, &RunOptions::default())`
-/// behaves exactly like [`Engine::run`].
+/// The default requests nothing extra: just the report.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Collect the per-instance execution timeline.
@@ -320,15 +312,14 @@ pub enum Partitioning {
     #[default]
     Shared,
     /// Each workload is an independent partition with the whole machine to
-    /// itself, advanced on its own event core — on its own thread when the
-    /// `parallel` feature is enabled — producing one report per workload.
+    /// itself, advanced on its own event core — on its own thread when more
+    /// than one worker is available — producing one report per workload.
     Partitioned,
 }
 
 /// One simulation request: the single argument of [`Engine::execute`],
-/// the object every `Engine::run*` wrapper builds, and — through
-/// [`RunRequest::canonical`] / [`RunRequest::fingerprint`] — the shared
-/// cache/protocol key of the `pim-serve` daemon.
+/// and — through [`RunRequest::canonical`] / [`RunRequest::fingerprint`] —
+/// the shared cache/protocol key of the `pim-serve` daemon.
 #[derive(Debug, Clone)]
 pub struct RunRequest<'g> {
     /// The participating workloads.
@@ -435,10 +426,6 @@ impl<'g> RunRequest<'g> {
     }
 }
 
-/// Everything one simulation produced — the response half of the
-/// [`RunRequest`] API.
-pub type RunResponse = RunOutput;
-
 /// Everything one simulation produced.
 #[derive(Debug)]
 pub struct RunOutput {
@@ -458,9 +445,9 @@ pub struct RunOutput {
     /// The run's counter registry (ops placed per device, events
     /// dispatched, busy seconds, bytes moved, sync stalls, fault
     /// recovery). Always collected; cross-checked against the report in
-    /// debug/`verify` builds. Partitioned runs merge counters in partition
-    /// order — every key is a sum over events, so the merge is independent
-    /// of the worker count.
+    /// debug builds. Partitioned runs merge counters in partition order —
+    /// every key is a sum over events, so the merge is independent of the
+    /// worker count.
     pub counters: Counters,
     /// When a fault plan quarantined a whole compute complement before the
     /// run started, the preset the configuration gracefully degraded to
@@ -520,15 +507,36 @@ impl Engine {
     fn prepare<'g>(
         &self,
         workloads: &[WorkloadSpec<'g>],
-        tracer: &mut dyn pim_common::trace::TraceSink,
+        tracer: &mut dyn TraceSink,
         tie: TieBreak,
     ) -> Result<Vec<Prepared<'g>>> {
+        let coverage = self.planner.cfg.coverage;
         let mut prepared = Vec::with_capacity(workloads.len());
         for wl in workloads {
             let costs = graph_costs(wl.graph)?;
-            let profile = profile_step_cached_traced(wl.graph, self.planner.cpu(), tracer)?;
-            let candidates =
-                select_candidates_tie_traced(&profile, self.planner.cfg.coverage, tie, tracer);
+            let profile = profile_step_cached(wl.graph, self.planner.cpu())?;
+            let candidates = select_candidates_tie(&profile, coverage, tie);
+            if tracer.enabled() {
+                let profiled = vec![
+                    ("ops", profile.ops.len().into()),
+                    ("cpu_seconds", profile.total_time().seconds().into()),
+                    ("memory_accesses", profile.total_memory_accesses().into()),
+                ];
+                let selected = vec![
+                    ("candidates", candidates.ranked.len().into()),
+                    ("requested_coverage", coverage.into()),
+                    ("time_coverage", candidates.time_coverage.into()),
+                ];
+                for (name, args) in [("profile step", profiled), ("select candidates", selected)] {
+                    tracer.record(TraceEvent::Instant {
+                        track: SCHED_TRACK,
+                        name: name.to_string(),
+                        cat: "meta",
+                        ts: Seconds::ZERO,
+                        args,
+                    });
+                }
+            }
             let deps: Vec<Vec<usize>> = wl
                 .graph
                 .all_dependencies()
@@ -559,8 +567,7 @@ impl Engine {
         Ok(prepared)
     }
 
-    /// Executes one [`RunRequest`] — the single entry point every
-    /// `Engine::run*` wrapper delegates to.
+    /// Executes one [`RunRequest`] — the engine's single entry point.
     ///
     /// A [`Partitioning::Shared`] request co-runs all workloads on one
     /// resource state under the request's fault plan: when the plan
@@ -574,20 +581,18 @@ impl Engine {
     /// the pre-fault-support engine.
     ///
     /// A [`Partitioning::Partitioned`] request gives each workload the
-    /// whole machine to itself on its own event core — on its own thread
-    /// when the `parallel` feature is enabled (worker count capped by
-    /// `PIM_RUN_THREADS`) — then merges the artifacts deterministically:
-    /// reports keep input order, timelines merge by `(quantized start,
-    /// partition index)`, counters merge in partition order. The output
-    /// is a pure function of the request, independent of the worker
-    /// count.
+    /// whole machine to itself on its own event core — on its own thread,
+    /// with the worker count capped by `PIM_RUN_THREADS` — then merges the
+    /// artifacts deterministically: reports keep input order, timelines
+    /// merge by `(quantized start, partition index)`, counters merge in
+    /// partition order. The output is a pure function of the request,
+    /// independent of the worker count.
     ///
-    /// In debug builds — or with the `verify` feature enabled — every run
-    /// additionally replays its timeline through the `schedule` legality
-    /// pass ([`Engine::verify_timeline`]) and cross-checks the counter
-    /// registry against the report ([`crate::stats::cross_check_counters`]),
-    /// panicking on any violation so a scheduler bug surfaces at the run
-    /// that produced it.
+    /// In debug builds every run additionally replays its timeline through
+    /// the `schedule` legality pass ([`Engine::verify_timeline`]) and
+    /// cross-checks the counter registry against the report
+    /// ([`crate::stats::cross_check_counters`]), panicking on any
+    /// violation so a scheduler bug surfaces at the run that produced it.
     ///
     /// # Errors
     ///
@@ -661,40 +666,6 @@ impl Engine {
         }
     }
 
-    /// Simulates the workloads on one shared resource state, producing
-    /// exactly the artifacts `opts` asks for. Thin wrapper over
-    /// [`Engine::execute`] with a fault-free shared request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same failures as [`Engine::execute`].
-    pub fn run_with(&self, workloads: &[WorkloadSpec<'_>], opts: &RunOptions) -> Result<RunOutput> {
-        self.execute(&RunRequest::new(workloads).with_options(*opts))
-    }
-
-    /// Like [`Engine::run_with`], executing under a seeded fault plan: the
-    /// drivers inject the plan's transients, link timeouts, stragglers,
-    /// and permanent faults, and recover per the policy in
-    /// [`crate::engine::faults`]. Thin wrapper over [`Engine::execute`]
-    /// with the plan attached; see there for the whole-complement
-    /// collapse semantics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same failures as [`Engine::execute`].
-    pub fn run_with_faults(
-        &self,
-        workloads: &[WorkloadSpec<'_>],
-        opts: &RunOptions,
-        plan: &FaultPlan,
-    ) -> Result<RunOutput> {
-        self.execute(
-            &RunRequest::new(workloads)
-                .with_options(*opts)
-                .with_faults(plan.clone()),
-        )
-    }
-
     /// The preset this configuration collapses to when `plan` takes out a
     /// whole compute complement before the run starts.
     fn collapse_target(&self, plan: &FaultPlan) -> Option<SystemPreset> {
@@ -743,8 +714,8 @@ impl Engine {
         Some((Engine::new(collapsed), target.name(), eff))
     }
 
-    /// Shared body of [`Engine::run_with`] / [`Engine::run_with_faults`]:
-    /// assumes any whole-complement collapse already happened.
+    /// Shared-partition body of [`Engine::execute`]: assumes any
+    /// whole-complement collapse already happened.
     fn run_inner(
         &self,
         workloads: &[WorkloadSpec<'_>],
@@ -752,13 +723,12 @@ impl Engine {
         plan: &FaultPlan,
         limits: &RunLimits,
     ) -> Result<RunOutput> {
-        let verify = cfg!(any(debug_assertions, feature = "verify"));
+        let verify = cfg!(debug_assertions);
         let faults = (!plan.is_none()).then(|| FaultContext::new(plan, self.planner.cfg.ff_units));
 
         let mut null = NullTrace;
         let mut recorder = pim_common::trace::Recorder::new();
-        let tracer: &mut dyn pim_common::trace::TraceSink =
-            if opts.trace { &mut recorder } else { &mut null };
+        let tracer: &mut dyn TraceSink = if opts.trace { &mut recorder } else { &mut null };
 
         let prepared = self.prepare(workloads, &mut *tracer, opts.tie)?;
         let mut counters = Counters::new();
@@ -806,16 +776,6 @@ impl Engine {
         })
     }
 
-    /// Simulates the workloads and produces the report. Thin wrapper over
-    /// [`Engine::execute`] with a default shared request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same failures as [`Engine::execute`].
-    pub fn run(&self, workloads: &[WorkloadSpec<'_>]) -> Result<ExecutionReport> {
-        Ok(self.execute(&RunRequest::new(workloads))?.into_report())
-    }
-
     /// Dispatches prepared workloads to the configured execution driver,
     /// monomorphized over the run's fault model.
     fn drive<F: FaultModel>(
@@ -830,9 +790,9 @@ impl Engine {
         // order — there is no tie surface to permute, so it ignores the
         // policy (candidate selection already saw it in `prepare`).
         if self.planner.cfg.operation_pipeline {
-            events::run_scheduled(&self.planner, prepared, obs, faults, tie, limits)
+            drivers::run_scheduled(&self.planner, prepared, obs, faults, tie, limits)
         } else {
-            events::run_serialized(&self.planner, prepared, obs, faults, limits)
+            drivers::run_serialized(&self.planner, prepared, obs, faults, limits)
         }
     }
 
@@ -854,8 +814,8 @@ impl Engine {
     }
 
     /// Like [`Engine::verify_timeline`] for a timeline recorded under a
-    /// fault plan ([`Engine::run_with_faults`] with the same plan): the
-    /// checker additionally validates attempt chains, backoff spacing,
+    /// fault plan (an [`Engine::execute`] request carrying the same plan):
+    /// the checker additionally validates attempt chains, backoff spacing,
     /// plan consistency, and capacity under quarantine. Applies the same
     /// whole-complement collapse as the run did.
     ///
@@ -912,7 +872,7 @@ impl Engine {
         let cfg = &self.planner.cfg;
         let limits = ResourceLimits {
             cpu_slots: 1,
-            progr_slots: events::PROGR_KERNEL_SLOTS,
+            progr_slots: PROGR_KERNEL_SLOTS,
             ff_units: cfg.ff_units,
             pipeline_depth: cfg.operation_pipeline.then_some(cfg.pipeline_depth),
         };
@@ -920,70 +880,13 @@ impl Engine {
         crate::verify::check_timeline(&facts, timeline, &limits, &pool, plan)
     }
 
-    /// Like [`Engine::run`], additionally returning the per-instance
-    /// execution timeline (start/end/resource of every scheduled op) for
-    /// inspection and invariant checking. Thin wrapper over
-    /// [`Engine::execute`] with `timeline: true`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same failures as [`Engine::run`].
-    pub fn run_detailed(
-        &self,
-        workloads: &[WorkloadSpec<'_>],
-    ) -> Result<(ExecutionReport, Vec<TimelineEntry>)> {
-        let opts = RunOptions {
-            timeline: true,
-            ..RunOptions::default()
-        };
-        let mut out = self.execute(&RunRequest::new(workloads).with_options(opts))?;
-        let timeline = out
-            .timeline
-            .take()
-            .ok_or_else(|| PimError::internal("requested timeline missing from run output"))?;
-        Ok((out.into_report(), timeline))
-    }
-
-    /// Runs each workload as its own independent simulation, across
-    /// threads when the `parallel` feature is enabled (the default).
-    /// Results keep the input order. Thin wrapper over
-    /// [`Engine::run_many_with`] with default options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failure among the runs, in input order.
-    pub fn run_many(&self, workloads: &[WorkloadSpec<'_>]) -> Result<Vec<ExecutionReport>> {
-        Ok(self
-            .run_many_with(workloads, &RunOptions::default())?
-            .reports)
-    }
-
-    /// Partitioned multi-workload execution: each workload is an
-    /// independent partition with the whole machine to itself. Thin
-    /// wrapper over [`Engine::execute`] with a
-    /// [`Partitioning::Partitioned`] request; see there for the
-    /// determinism guarantees of the merge.
-    ///
-    /// This is *not* [`Engine::run_with`] with several workloads — that
-    /// call co-runs the workloads on one shared resource state (the
-    /// Fig. 16 scenario) and stays a single partition.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failure among the partitions, in input order.
-    pub fn run_many_with(
-        &self,
-        workloads: &[WorkloadSpec<'_>],
-        opts: &RunOptions,
-    ) -> Result<RunOutput> {
-        self.execute(&RunRequest::new(workloads).with_options(*opts).partitioned())
-    }
-
-    /// Replays a merged multi-partition timeline ([`Engine::run_many_with`]
-    /// with `timeline: true`) against the workloads it was recorded from:
-    /// the timeline is split back into per-partition streams by its
-    /// workload tags and each partition is checked independently, since
-    /// every partition had the whole machine to itself.
+    /// Replays a merged multi-partition timeline (a
+    /// [`Partitioning::Partitioned`] request with `timeline: true`) against
+    /// the workloads it was recorded from: the timeline is split back into
+    /// per-partition streams by its workload tags and each partition is
+    /// checked independently, since every partition had the whole machine
+    /// to itself. An entry tagged with a partition that does not exist is
+    /// reported as an error.
     ///
     /// # Errors
     ///
@@ -996,6 +899,10 @@ impl Engine {
     ) -> Result<Diagnostics> {
         let parts = crate::verify::split_partitions(timeline, workloads.len());
         let mut diags = Diagnostics::new();
+        for e in timeline.iter().filter(|e| e.workload >= workloads.len()) {
+            let subj = crate::verify::subject(&[], e);
+            diags.error(crate::verify::PASS, subj, "workload index out of bounds");
+        }
         for (wl, part) in workloads.iter().zip(parts) {
             diags.extend(self.verify_timeline(&[*wl], &part)?);
         }
@@ -1012,9 +919,8 @@ impl Engine {
     /// Propagates profiling/cost failures.
     pub fn plan_preview(&self, graph: &Graph) -> Result<Vec<PlanRow>> {
         let costs = graph_costs(graph)?;
-        let profile = profile_step_cached_traced(graph, self.planner.cpu(), &mut NullTrace)?;
-        let candidates =
-            select_candidates_traced(&profile, self.planner.cfg.coverage, &mut NullTrace);
+        let profile = profile_step_cached(graph, self.planner.cpu())?;
+        let candidates = select_candidates(&profile, self.planner.cfg.coverage);
         let mut rows = Vec::with_capacity(graph.op_count());
         for node in graph.ops() {
             let cost = &costs[node.id.index()];

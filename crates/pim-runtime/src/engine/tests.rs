@@ -8,12 +8,13 @@ fn run(cfg: EngineConfig, kind: ModelKind, steps: usize) -> ExecutionReport {
     let model = Model::build_with_batch(kind, 16).unwrap();
     let engine = Engine::new(cfg);
     engine
-        .run(&[WorkloadSpec {
+        .execute(&RunRequest::new(&[WorkloadSpec {
             graph: model.graph(),
             steps,
             cpu_progr_only: false,
-        }])
+        }]))
         .unwrap()
+        .into_report()
 }
 
 #[test]
@@ -62,12 +63,13 @@ fn rc_and_op_improve_over_bare_hetero() {
     let model = Model::build(ModelKind::AlexNet).unwrap();
     let run_cfg = |cfg: EngineConfig| {
         Engine::new(cfg)
-            .run(&[WorkloadSpec {
+            .execute(&RunRequest::new(&[WorkloadSpec {
                 graph: model.graph(),
                 steps: 3,
                 cpu_progr_only: false,
-            }])
+            }]))
             .unwrap()
+            .into_report()
     };
     let bare = run_cfg(EngineConfig::preset(SystemPreset::HeteroBare));
     let rc = run_cfg(EngineConfig::preset(SystemPreset::HeteroRc));
@@ -120,12 +122,13 @@ fn mixed_restricted_workload_avoids_fixed_pim() {
     let model = Model::build_with_batch(ModelKind::Word2vec, 8).unwrap();
     let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
     let r = engine
-        .run(&[WorkloadSpec {
+        .execute(&RunRequest::new(&[WorkloadSpec {
             graph: model.graph(),
             steps: 2,
             cpu_progr_only: true,
-        }])
-        .unwrap();
+        }]))
+        .unwrap()
+        .into_report();
     assert_eq!(r.ff_utilization, 0.0);
     assert!(r.is_well_formed());
 }
@@ -147,13 +150,49 @@ fn run_many_matches_individual_runs() {
             cpu_progr_only: false,
         },
     ];
-    let many = engine.run_many(&specs).unwrap();
+    let many = engine
+        .execute(&RunRequest::new(&specs).partitioned())
+        .unwrap()
+        .reports;
     assert_eq!(many.len(), 2);
     for (spec, report) in specs.iter().zip(&many) {
-        let single = engine.run(&[*spec]).unwrap();
+        let single = engine
+            .execute(&RunRequest::new(&[*spec]))
+            .unwrap()
+            .into_report();
         assert_eq!(report.makespan, single.makespan);
         assert_eq!(report.dynamic_energy, single.dynamic_energy);
     }
+}
+
+#[test]
+fn verify_many_timeline_reports_entries_of_unknown_partitions() {
+    let model = Model::build_with_batch(ModelKind::AlexNet, 8).unwrap();
+    let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
+    let spec = WorkloadSpec {
+        graph: model.graph(),
+        steps: 2,
+        cpu_progr_only: false,
+    };
+    let specs = [spec, spec];
+    let opts = RunOptions {
+        timeline: true,
+        ..RunOptions::default()
+    };
+    let request = RunRequest::new(&specs).with_options(opts).partitioned();
+    let mut timeline = engine.execute(&request).unwrap().timeline.unwrap();
+    let clean = engine.verify_many_timeline(&specs, &timeline).unwrap();
+    assert!(clean.is_clean(), "{}", clean.render_text());
+
+    let mut stray = timeline[0];
+    stray.workload = 7;
+    timeline.push(stray);
+    let diags = engine.verify_many_timeline(&specs, &timeline).unwrap();
+    assert_eq!(diags.error_count(), 1, "{}", diags.render_text());
+    let d = &diags.items()[0];
+    assert_eq!(d.pass, crate::verify::PASS);
+    assert!(d.subject.starts_with("wl7/"), "{}", d.subject);
+    assert_eq!(d.message, "workload index out of bounds");
 }
 
 mod preview_tests {
@@ -195,6 +234,10 @@ mod fault_tests {
     use super::*;
     use pim_hw::faults::{FaultPlan, FaultTarget};
 
+    fn request(model: &Model) -> RunRequest<'_> {
+        RunRequest::new(&[spec(model, 2)])
+    }
+
     fn spec(model: &Model, steps: usize) -> WorkloadSpec<'_> {
         WorkloadSpec {
             graph: model.graph(),
@@ -212,9 +255,13 @@ mod fault_tests {
                 timeline: true,
                 ..RunOptions::default()
             };
-            let plain = engine.run_with(&[spec(&model, 2)], &opts).unwrap();
+            let plain = engine.execute(&request(&model).with_options(opts)).unwrap();
             let faulted = engine
-                .run_with_faults(&[spec(&model, 2)], &opts, &FaultPlan::none())
+                .execute(
+                    &request(&model)
+                        .with_options(opts)
+                        .with_faults(FaultPlan::none()),
+                )
                 .unwrap();
             assert_eq!(plain.report(), faulted.report(), "{preset:?}");
             assert_eq!(plain.timeline, faulted.timeline, "{preset:?}");
@@ -233,17 +280,17 @@ mod fault_tests {
             SystemPreset::HeteroRc,
         ] {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let horizon = engine.run(&[spec(&model, 2)]).unwrap().makespan;
+            let horizon = engine.execute(&request(&model)).unwrap().report().makespan;
             let plan = FaultPlan::seeded(7, 0.2, horizon, engine.config().ff_units);
             let opts = RunOptions {
                 timeline: true,
                 ..RunOptions::default()
             };
             let a = engine
-                .run_with_faults(&[spec(&model, 2)], &opts, &plan)
+                .execute(&request(&model).with_options(opts).with_faults(plan.clone()))
                 .unwrap();
             let b = engine
-                .run_with_faults(&[spec(&model, 2)], &opts, &plan)
+                .execute(&request(&model).with_options(opts).with_faults(plan))
                 .unwrap();
             assert_eq!(a.report(), b.report(), "{preset:?}");
             assert_eq!(a.timeline, b.timeline, "{preset:?}");
@@ -260,13 +307,12 @@ mod fault_tests {
         let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
         let hetero = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
         let plan = FaultPlan::quarantine_ff_at_start(hetero.config().ff_units);
-        let degraded = hetero
-            .run_with_faults(&[spec(&model, 2)], &RunOptions::default(), &plan)
-            .unwrap();
+        let degraded = hetero.execute(&request(&model).with_faults(plan)).unwrap();
         assert_eq!(degraded.degraded, Some("Progr PIM"));
         let progr = Engine::new(EngineConfig::preset(SystemPreset::ProgrOnly))
-            .run(&[spec(&model, 2)])
-            .unwrap();
+            .execute(&request(&model))
+            .unwrap()
+            .into_report();
         assert_eq!(*degraded.report(), progr);
     }
 
@@ -276,13 +322,12 @@ mod fault_tests {
         let hetero = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
         let plan = FaultPlan::quarantine_ff_at_start(hetero.config().ff_units)
             .with_permanent(Seconds::ZERO, FaultTarget::ProgrPim);
-        let degraded = hetero
-            .run_with_faults(&[spec(&model, 2)], &RunOptions::default(), &plan)
-            .unwrap();
+        let degraded = hetero.execute(&request(&model).with_faults(plan)).unwrap();
         assert_eq!(degraded.degraded, Some("CPU"));
         let cpu = Engine::new(EngineConfig::preset(SystemPreset::CpuOnly))
-            .run(&[spec(&model, 2)])
-            .unwrap();
+            .execute(&request(&model))
+            .unwrap()
+            .into_report();
         assert_eq!(degraded.report().makespan, cpu.makespan);
         assert_eq!(degraded.report().dynamic_energy, cpu.dynamic_energy);
     }
@@ -294,16 +339,19 @@ mod fault_tests {
         // Anchor the strike inside the busy part of the schedule (the
         // makespan itself ends with barrier/decision accounting no event
         // reaches).
-        let (_, timeline) = engine.run_detailed(&[spec(&model, 2)]).unwrap();
+        let opts = RunOptions {
+            timeline: true,
+            ..RunOptions::default()
+        };
+        let timed = request(&model).with_options(opts);
+        let timeline = engine.execute(&timed).unwrap().timeline.unwrap();
         let last_end =
             timeline
                 .iter()
                 .map(|e| e.end)
                 .fold(Seconds::ZERO, |a, b| if b > a { b } else { a });
         let plan = FaultPlan::none().with_permanent(last_end * 0.5, FaultTarget::ProgrPim);
-        let out = engine
-            .run_with_faults(&[spec(&model, 2)], &RunOptions::default(), &plan)
-            .unwrap();
+        let out = engine.execute(&request(&model).with_faults(plan)).unwrap();
         assert!(out.degraded.is_none());
         assert!(out.report().is_well_formed());
         assert!(out.counters.get("faults/quarantined_units") >= 1.0);
@@ -330,11 +378,11 @@ mod fault_tests {
         };
         for preset in SystemPreset::ALL {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let plain = engine.run_with(&[spec(&model, 2)], &opts).unwrap();
+            let plain = engine.execute(&request(&model).with_options(opts)).unwrap();
             let plan = FaultPlan::none()
                 .with_permanent(plain.report().makespan * 10.0, FaultTarget::ProgrPim);
             let faulted = engine
-                .run_with_faults(&[spec(&model, 2)], &opts, &plan)
+                .execute(&request(&model).with_options(opts).with_faults(plan))
                 .unwrap();
             assert!(faulted.degraded.is_none(), "{preset:?}");
             assert_eq!(
@@ -450,7 +498,11 @@ mod limit_tests {
     fn simulated_deadline_cuts_a_run_short() {
         let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-        let full = engine.run(&[spec(&model, 2)]).unwrap().makespan;
+        let full = engine
+            .execute(&RunRequest::new(&[spec(&model, 2)]))
+            .unwrap()
+            .report()
+            .makespan;
         let err = engine
             .execute(
                 &RunRequest::new(&[spec(&model, 2)])
@@ -498,7 +550,11 @@ mod limit_tests {
         let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
         for preset in [SystemPreset::Hetero, SystemPreset::FixedHost] {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let horizon = engine.run(&[spec(&model, 2)]).unwrap().makespan;
+            let horizon = engine
+                .execute(&RunRequest::new(&[spec(&model, 2)]))
+                .unwrap()
+                .report()
+                .makespan;
             let plan = FaultPlan::seeded(7, 0.2, horizon, engine.config().ff_units);
             let err = engine
                 .execute(

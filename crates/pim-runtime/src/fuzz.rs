@@ -37,7 +37,7 @@
 //!   machinery must produce a divergence diagnostic, which is exactly
 //!   how a reintroduced HashMap-tie class of bug would surface.
 
-use crate::engine::{Engine, RunOptions, TimelineEntry, WorkloadSpec};
+use crate::engine::{Engine, RunOptions, RunRequest, TimelineEntry, WorkloadSpec};
 use pim_common::diag::Diagnostics;
 use pim_common::Result;
 
@@ -215,7 +215,8 @@ pub fn check_order_invariance(
         timeline: true,
         ..RunOptions::default()
     };
-    let base = engine.run_with(workloads, &base_opts)?;
+    let base_request = RunRequest::new(workloads).with_options(base_opts);
+    let base = engine.execute(&base_request)?;
     let base_timeline = base.timeline.as_deref().unwrap_or(&[]);
 
     let mut diags = Diagnostics::new();
@@ -224,7 +225,7 @@ pub fn check_order_invariance(
     // Determinism tripwire: the pinned orders cannot be permuted without
     // changing the schedule, so they are audited by reproduction — the
     // stable order must equal itself across independent runs.
-    let rerun = engine.run_with(workloads, &base_opts)?;
+    let rerun = engine.execute(&base_request)?;
     if rerun.report() != base.report()
         || rerun.counters != base.counters
         || rerun.timeline.as_deref().unwrap_or(&[]) != base_timeline
@@ -250,7 +251,7 @@ pub fn check_order_invariance(
             tie,
             ..RunOptions::default()
         };
-        let out = engine.run_with(workloads, &opts)?;
+        let out = engine.execute(&RunRequest::new(workloads).with_options(opts))?;
         let timeline = out.timeline.as_deref().unwrap_or(&[]);
         let label = format!("{subject} order={}", tie.describe());
 

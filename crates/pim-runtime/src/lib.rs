@@ -7,8 +7,8 @@
 //!   the discrete-event simulator, with recursive-kernel (RC) and
 //!   operation-pipeline (OP) toggles; its event core also drives the
 //!   `pim-sim` baselines,
-//! * [`par`] — fork-join helper behind the default-on `parallel` feature
-//!   (independent simulations across threads, deterministic order),
+//! * [`par`] — fork-join helper (independent simulations across threads,
+//!   deterministic order, worker count capped by `PIM_RUN_THREADS`),
 //! * [`recursive`] — the programmable-PIM-side progress tracker for
 //!   recursive kernels (§IV-C),
 //! * [`sync`] — synchronization-cost constants and kernel-call granularity,
@@ -26,16 +26,17 @@
 //! # Examples
 //!
 //! ```
-//! use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+//! use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 //! use pim_models::{Model, ModelKind};
 //!
 //! # fn main() -> pim_common::Result<()> {
 //! let model = Model::build_with_batch(ModelKind::AlexNet, 2)?;
 //! let workload = WorkloadSpec { graph: model.graph(), steps: 2, cpu_progr_only: false };
 //!
-//! let hetero = Engine::new(EngineConfig::preset(SystemPreset::Hetero)).run(&[workload])?;
-//! let cpu = Engine::new(EngineConfig::preset(SystemPreset::CpuOnly)).run(&[workload])?;
-//! assert!(hetero.makespan < cpu.makespan);
+//! let request = RunRequest::new(&[workload]);
+//! let hetero = Engine::new(EngineConfig::preset(SystemPreset::Hetero)).execute(&request)?;
+//! let cpu = Engine::new(EngineConfig::preset(SystemPreset::CpuOnly)).execute(&request)?;
+//! assert!(hetero.report().makespan < cpu.report().makespan);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,8 +56,8 @@ pub mod verify;
 
 pub use engine::{
     CancelToken, Engine, EngineConfig, Partitioning, PlanRow, ProgrBackend, ResourceClass,
-    RunLimits, RunOptions, RunOutput, RunRequest, RunResponse, SystemMode, SystemPreset,
-    TimelineEntry, WorkloadSpec,
+    RunLimits, RunOptions, RunOutput, RunRequest, SystemMode, SystemPreset, TimelineEntry,
+    WorkloadSpec,
 };
 pub use fuzz::TieBreak;
 pub use session::TrainingSession;

@@ -1,17 +1,15 @@
 //! Minimal fork-join parallelism for independent simulations.
 //!
-//! [`par_map`] fans a slice out over scoped OS threads when the `parallel`
-//! feature (on by default) is enabled, and degrades to a plain serial map
-//! without it — callers never need to care which build they are in. Output
-//! order always matches input order, so parallel sweeps stay
-//! deterministic.
+//! [`par_map`] fans a slice out over scoped OS threads, and runs a plain
+//! serial map when only one worker is available (or `PIM_RUN_THREADS=1`
+//! pins it there). Output order always matches input order, so parallel
+//! sweeps stay deterministic.
 
 /// Worker-thread cap for one fan-out: the `PIM_RUN_THREADS` environment
 /// variable when set to a positive integer, otherwise the machine's
-/// available parallelism. Pinning `PIM_RUN_THREADS=1` forces the parallel
-/// build down the serial path — the thread-matrix CI stage uses this to
-/// check that results do not depend on the worker count.
-#[cfg(feature = "parallel")]
+/// available parallelism. Pinning `PIM_RUN_THREADS=1` forces the serial
+/// path — the thread-matrix CI stage uses this to check that results do
+/// not depend on the worker count.
 fn thread_limit() -> usize {
     std::env::var("PIM_RUN_THREADS")
         .ok()
@@ -20,11 +18,11 @@ fn thread_limit() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
-/// Maps `f` over `items`, in parallel when the `parallel` feature is on.
+/// Maps `f` over `items` across up to `PIM_RUN_THREADS` scoped workers
+/// (default: the machine's available parallelism).
 ///
 /// Results are returned in input order regardless of which thread finished
 /// first.
-#[cfg(feature = "parallel")]
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -52,17 +50,6 @@ where
         .into_iter()
         .map(|r| r.expect("scoped worker filled every slot"))
         .collect()
-}
-
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
 }
 
 #[cfg(test)]

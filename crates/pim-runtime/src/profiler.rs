@@ -188,57 +188,6 @@ pub fn profile_step_cached(graph: &Graph, cpu: &CpuDevice) -> Result<Arc<StepPro
     Ok(fresh)
 }
 
-fn trace_profile_instant(profile: &StepProfile, tracer: &mut dyn pim_common::trace::TraceSink) {
-    if tracer.enabled() {
-        tracer.record(pim_common::trace::TraceEvent::Instant {
-            track: crate::engine::SCHED_TRACK,
-            name: "profile step".to_string(),
-            cat: "meta",
-            ts: Seconds::ZERO,
-            args: vec![
-                ("ops", profile.ops.len().into()),
-                ("cpu_seconds", profile.total_time().seconds().into()),
-                ("memory_accesses", profile.total_memory_accesses().into()),
-            ],
-        });
-    }
-}
-
-/// [`profile_step`] plus an instant on the scheduler trace track
-/// summarizing what the profiling pass produced. Recording happens only
-/// when the sink is enabled; with [`pim_common::NullTrace`] this is
-/// exactly `profile_step`.
-///
-/// # Errors
-///
-/// Propagates cost-model failures for malformed graphs.
-pub fn profile_step_traced(
-    graph: &Graph,
-    cpu: &CpuDevice,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> Result<StepProfile> {
-    let profile = profile_step(graph, cpu)?;
-    trace_profile_instant(&profile, tracer);
-    Ok(profile)
-}
-
-/// [`profile_step_cached`] plus the same trace instant
-/// [`profile_step_traced`] emits — memo hits still record it, so traced
-/// output is byte-identical whether or not the cache was warm.
-///
-/// # Errors
-///
-/// Propagates cost-model failures for malformed graphs.
-pub fn profile_step_cached_traced(
-    graph: &Graph,
-    cpu: &CpuDevice,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> Result<Arc<StepProfile>> {
-    let profile = profile_step_cached(graph, cpu)?;
-    trace_profile_instant(&profile, tracer);
-    Ok(profile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

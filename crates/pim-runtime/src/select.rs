@@ -140,43 +140,6 @@ pub fn select_candidates_tie(profile: &StepProfile, coverage: f64, tie: TieBreak
     set
 }
 
-/// [`select_candidates`] plus an instant on the scheduler trace track
-/// summarizing the chosen candidate set. Recording happens only when the
-/// sink is enabled; with [`pim_common::NullTrace`] this is exactly
-/// `select_candidates`.
-pub fn select_candidates_traced(
-    profile: &StepProfile,
-    coverage: f64,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> CandidateSet {
-    select_candidates_tie_traced(profile, coverage, TieBreak::Stable, tracer)
-}
-
-/// [`select_candidates_tie`] with the same trace instant as
-/// [`select_candidates_traced`].
-pub fn select_candidates_tie_traced(
-    profile: &StepProfile,
-    coverage: f64,
-    tie: TieBreak,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> CandidateSet {
-    let candidates = select_candidates_tie(profile, coverage, tie);
-    if tracer.enabled() {
-        tracer.record(pim_common::trace::TraceEvent::Instant {
-            track: crate::engine::SCHED_TRACK,
-            name: "select candidates".to_string(),
-            cat: "meta",
-            ts: Seconds::ZERO,
-            args: vec![
-                ("candidates", candidates.ranked.len().into()),
-                ("requested_coverage", coverage.into()),
-                ("time_coverage", candidates.time_coverage.into()),
-            ],
-        });
-    }
-    candidates
-}
-
 /// The four operation classes of Fig. 2 (compute intensity x memory
 /// intensity quadrants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]

@@ -322,9 +322,10 @@ pub fn cross_check_counters(report: &ExecutionReport, counters: &Counters) -> Di
     diags
 }
 
-/// [`cross_check_counters`] for a partitioned run: validates the merged
-/// counter registry of [`crate::engine::Engine::run_many_with`] against
-/// the *sum* of the per-partition reports.
+/// [`cross_check_counters`] for a partitioned run
+/// ([`Partitioning::Partitioned`](crate::engine::Partitioning::Partitioned)):
+/// validates the merged counter registry against the *sum* of the
+/// per-partition reports.
 ///
 /// Partition merge is plain addition for every counter the cross-check
 /// reads (busy seconds, event and op tallies), so the merged registry

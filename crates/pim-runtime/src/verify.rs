@@ -6,8 +6,8 @@
 //! [`TimelineEntry`] list and reports every violation as a `schedule`-pass
 //! [`Diagnostic`](pim_common::Diagnostic). It backs two consumers:
 //!
-//! * the engine's own run-time assertions (default-on in debug builds, or
-//!   with the `verify` feature) through [`Engine::verify_timeline`],
+//! * the engine's own run-time assertions (on in debug builds) through
+//!   [`Engine::verify_timeline`],
 //! * the `pim-verify` static-analysis CLI, which replays every model under
 //!   every configuration.
 //!
@@ -72,7 +72,7 @@ fn to_fs(seconds: f64) -> u128 {
     (seconds * 1e15).max(0.0) as u128
 }
 
-fn subject(facts: &[WorkloadFacts], e: &TimelineEntry) -> String {
+pub(crate) fn subject(facts: &[WorkloadFacts], e: &TimelineEntry) -> String {
     let name = facts
         .get(e.workload)
         .and_then(|f| f.names.get(e.op).copied())
@@ -95,16 +95,17 @@ fn needs_fixed_part(class: ResourceClass) -> bool {
     )
 }
 
-/// Splits a merged multi-partition timeline (the
-/// [`Engine::run_many_with`](crate::engine::Engine::run_many_with) output)
-/// back into per-partition streams by its workload tags.
+/// Splits a merged multi-partition timeline (the output of a
+/// [`Partitioning::Partitioned`](crate::engine::Partitioning::Partitioned)
+/// request) back into per-partition streams by its workload tags.
 ///
 /// Entry order within each partition is preserved — the merge is stable —
 /// so each returned stream is exactly the timeline that partition's
 /// single-workload run recorded, re-tagged to local workload index 0 and
 /// ready for [`check_timeline`] against that workload's facts alone.
-/// Entries tagged beyond `partitions` are dropped; callers detect them by
-/// comparing entry counts.
+/// Entries tagged beyond `partitions` are dropped here;
+/// [`Engine::verify_many_timeline`](crate::engine::Engine::verify_many_timeline)
+/// reports each one as a "workload index out of bounds" error.
 pub fn split_partitions(timeline: &[TimelineEntry], partitions: usize) -> Vec<Vec<TimelineEntry>> {
     let mut parts: Vec<Vec<TimelineEntry>> = vec![Vec::new(); partitions];
     for e in timeline {

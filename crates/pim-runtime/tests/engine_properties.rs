@@ -6,7 +6,9 @@
 use pim_common::units::Seconds;
 use pim_graph::gen::{self, GenSpec};
 use pim_graph::graph::Graph;
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunOutput, RunRequest, SystemPreset, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 /// Builds a random layered DAG through the shared seeded generator
@@ -23,12 +25,39 @@ fn random_dag(layers: usize, width: usize, seed: u64) -> Graph {
 
 fn run(graph: &Graph, cfg: EngineConfig, steps: usize) -> pim_runtime::ExecutionReport {
     Engine::new(cfg)
-        .run(&[WorkloadSpec {
+        .execute(&RunRequest::new(&[WorkloadSpec {
             graph,
             steps,
             cpu_progr_only: false,
-        }])
+        }]))
         .unwrap()
+        .into_report()
+}
+
+fn run_with_timeline(
+    engine: &Engine,
+    graph: &Graph,
+    steps: usize,
+) -> (
+    pim_runtime::ExecutionReport,
+    Vec<pim_runtime::TimelineEntry>,
+) {
+    let opts = RunOptions {
+        timeline: true,
+        ..RunOptions::default()
+    };
+    let request = RunRequest::new(&[WorkloadSpec {
+        graph,
+        steps,
+        cpu_progr_only: false,
+    }])
+    .with_options(opts);
+    let RunOutput {
+        mut reports,
+        timeline,
+        ..
+    } = engine.execute(&request).unwrap();
+    (reports.remove(0), timeline.unwrap())
 }
 
 proptest! {
@@ -104,8 +133,8 @@ proptest! {
     ) {
         let graph = random_dag(layers, 2, seed);
         let r = Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-            .run(&[WorkloadSpec { graph: &graph, steps: 2, cpu_progr_only: true }])
-            .unwrap();
+            .execute(&RunRequest::new(&[WorkloadSpec { graph: &graph, steps: 2, cpu_progr_only: true }]))
+            .unwrap().into_report();
         prop_assert_eq!(r.ff_utilization, 0.0);
     }
 }
@@ -128,13 +157,7 @@ fn timeline_respects_resource_exclusivity() {
     use pim_runtime::engine::ResourceClass;
     let graph = random_dag(6, 3, 42);
     let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-    let (report, timeline) = engine
-        .run_detailed(&[WorkloadSpec {
-            graph: &graph,
-            steps: 3,
-            cpu_progr_only: false,
-        }])
-        .unwrap();
+    let (report, timeline) = run_with_timeline(&engine, &graph, 3);
     assert!(!timeline.is_empty());
     assert!(timeline.iter().all(|e| e.end >= e.start));
     assert!(timeline
@@ -174,13 +197,7 @@ fn timeline_respects_resource_exclusivity() {
 fn serialized_timeline_is_sequential() {
     let graph = random_dag(5, 2, 9);
     let engine = Engine::new(EngineConfig::preset(SystemPreset::HeteroRc));
-    let (_, timeline) = engine
-        .run_detailed(&[WorkloadSpec {
-            graph: &graph,
-            steps: 2,
-            cpu_progr_only: false,
-        }])
-        .unwrap();
+    let (_, timeline) = run_with_timeline(&engine, &graph, 2);
     for pair in timeline.windows(2) {
         assert!(pair[1].start.seconds() >= pair[0].end.seconds() - 1e-12);
     }
@@ -189,7 +206,7 @@ fn serialized_timeline_is_sequential() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Partitioned multi-workload execution (`run_many_with`) produces
+    /// Partitioned multi-workload execution (a partitioned request) produces
     /// exactly the artifacts of running each workload alone in input
     /// order, for any DAG mix: identical `ExecutionReport`s, a merged
     /// timeline equal to the deterministic `(start, partition)` merge of
@@ -203,7 +220,6 @@ proptest! {
         seed in 0u64..500,
     ) {
         use pim_common::trace::Counters;
-        use pim_runtime::engine::RunOptions;
 
         let g1 = random_dag(layers, width, seed);
         let g2 = random_dag(layers.max(2) - 1, width, seed.wrapping_add(1));
@@ -215,13 +231,13 @@ proptest! {
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
         let opts = RunOptions { timeline: true, ..RunOptions::default() };
 
-        let many = engine.run_many_with(&wls, &opts).unwrap();
+        let many = engine.execute(&RunRequest::new(&wls).with_options(opts).partitioned()).unwrap();
 
         let mut solo_reports = Vec::new();
         let mut solo_counters = Counters::new();
         let mut solo_parts = Vec::new();
         for wl in &wls {
-            let mut out = engine.run_with(&[*wl], &opts).unwrap();
+            let mut out = engine.execute(&RunRequest::new(&[*wl]).with_options(opts)).unwrap();
             solo_counters.merge(&out.counters);
             solo_parts.push(out.timeline.take().unwrap());
             solo_reports.push(out.into_report());

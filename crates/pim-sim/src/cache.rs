@@ -22,43 +22,32 @@ use pim_runtime::stats::ExecutionReport;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-static MODELS: OnceLock<Mutex<HashMap<ModelKind, Arc<Model>>>> = OnceLock::new();
+type ModelMap = HashMap<(ModelKind, usize), Arc<Model>>;
 
-/// [`Model::build`] behind a process-wide cache (paper batch sizes only;
-/// custom-batch studies build their own).
+static MODELS: OnceLock<Mutex<ModelMap>> = OnceLock::new();
+
+/// [`Model::build`] behind the process-wide model cache: the
+/// paper-batch entry of [`model_with_batch`].
 ///
 /// # Errors
 ///
 /// Propagates model-construction failures (never cached).
 pub fn model(kind: ModelKind) -> Result<Arc<Model>> {
-    let cache = MODELS.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().expect("model cache poisoned").get(&kind) {
-        return Ok(Arc::clone(hit));
-    }
-    let built = Arc::new(Model::build(kind)?);
-    cache
-        .lock()
-        .expect("model cache poisoned")
-        .insert(kind, Arc::clone(&built));
-    Ok(built)
+    model_with_batch(kind, kind.paper_batch_size())
 }
 
-type BatchModelMap = HashMap<(ModelKind, usize), Arc<Model>>;
-
-static BATCH_MODELS: OnceLock<Mutex<BatchModelMap>> = OnceLock::new();
-
-/// [`Model::build_with_batch`] behind a process-wide cache — the
-/// custom-batch twin of [`model`], used by serve requests carrying a
-/// `batch` override.
+/// [`Model::build_with_batch`] behind a process-wide cache keyed by
+/// `(kind, batch)`; serve requests carrying a `batch` override and the
+/// paper-batch sweeps share it.
 ///
 /// # Errors
 ///
 /// Propagates model-construction failures (never cached).
 pub fn model_with_batch(kind: ModelKind, batch: usize) -> Result<Arc<Model>> {
-    let cache = BATCH_MODELS.get_or_init(|| Mutex::new(HashMap::new()));
+    let cache = MODELS.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(hit) = cache
         .lock()
-        .expect("batch model cache poisoned")
+        .expect("model cache poisoned")
         .get(&(kind, batch))
     {
         return Ok(Arc::clone(hit));
@@ -66,7 +55,7 @@ pub fn model_with_batch(kind: ModelKind, batch: usize) -> Result<Arc<Model>> {
     let built = Arc::new(Model::build_with_batch(kind, batch)?);
     cache
         .lock()
-        .expect("batch model cache poisoned")
+        .expect("model cache poisoned")
         .insert((kind, batch), Arc::clone(&built));
     Ok(built)
 }
@@ -165,6 +154,9 @@ mod tests {
         let a = model(ModelKind::AlexNet).unwrap();
         let b = model(ModelKind::AlexNet).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        let batch = ModelKind::AlexNet.paper_batch_size();
+        let c = model_with_batch(ModelKind::AlexNet, batch).unwrap();
+        assert!(Arc::ptr_eq(&a, &c));
         assert_eq!(
             a.graph().structural_hash(),
             Model::build(ModelKind::AlexNet)

@@ -8,7 +8,8 @@
 
 use pim_common::Result;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
+use pim_runtime::stats::ExecutionReport;
 use serde::Serialize;
 
 /// Result of one co-run case.
@@ -43,14 +44,17 @@ pub fn corun(cnn: ModelKind, other: ModelKind, cnn_steps: usize) -> Result<CoRun
     let other_model = Model::build(other)?;
     let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
 
+    let run = |workloads: &[WorkloadSpec<'_>]| -> Result<ExecutionReport> {
+        Ok(engine.execute(&RunRequest::new(workloads))?.into_report())
+    };
     // Size the non-CNN run to a comparable duration (its steps are much
     // shorter than CNN steps).
-    let cnn_alone = engine.run(&[WorkloadSpec {
+    let cnn_alone = run(&[WorkloadSpec {
         graph: cnn_model.graph(),
         steps: cnn_steps,
         cpu_progr_only: false,
     }])?;
-    let other_probe = engine.run(&[WorkloadSpec {
+    let other_probe = run(&[WorkloadSpec {
         graph: other_model.graph(),
         steps: 1,
         cpu_progr_only: true,
@@ -60,14 +64,14 @@ pub fn corun(cnn: ModelKind, other: ModelKind, cnn_steps: usize) -> Result<CoRun
     .ceil()
     .max(1.0) as usize;
 
-    let other_alone = engine.run(&[WorkloadSpec {
+    let other_alone = run(&[WorkloadSpec {
         graph: other_model.graph(),
         steps: other_steps,
         cpu_progr_only: true,
     }])?;
     let sequential = cnn_alone.makespan + other_alone.makespan;
 
-    let corun = engine.run(&[
+    let corun = run(&[
         WorkloadSpec {
             graph: cnn_model.graph(),
             steps: cnn_steps,

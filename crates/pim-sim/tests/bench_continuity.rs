@@ -14,7 +14,9 @@
 
 use pim_hw::faults::FaultPlan;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 use pim_sim::bench::validate_bench_json;
 use std::time::Instant;
 
@@ -107,16 +109,28 @@ fn none_plan_entry_point_stays_within_the_hot_path_budget() {
     let none = FaultPlan::none();
     let opts = RunOptions::default();
     // Warm both paths (profile memo, allocator).
-    engine.run(&spec).unwrap();
-    engine.run_with_faults(&spec, &opts, &none).unwrap();
+    engine.execute(&RunRequest::new(&spec)).unwrap();
+    engine
+        .execute(
+            &RunRequest::new(&spec)
+                .with_options(opts)
+                .with_faults(none.clone()),
+        )
+        .unwrap();
     let mut plain_ms = Vec::new();
     let mut faulted_ms = Vec::new();
     for _ in 0..15 {
         let t = Instant::now();
-        engine.run(&spec).unwrap();
+        engine.execute(&RunRequest::new(&spec)).unwrap();
         plain_ms.push(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
-        engine.run_with_faults(&spec, &opts, &none).unwrap();
+        engine
+            .execute(
+                &RunRequest::new(&spec)
+                    .with_options(opts)
+                    .with_faults(none.clone()),
+            )
+            .unwrap();
         faulted_ms.push(t.elapsed().as_secs_f64() * 1e3);
     }
     let median = |mut v: Vec<f64>| {

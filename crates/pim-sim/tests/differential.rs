@@ -9,13 +9,15 @@
 //! Schedules must replay cleanly through the legality checker and the
 //! counter registry must match the report.
 //!
-//! The suite is feature-agnostic: CI runs it with the `parallel` feature
-//! on and off and expects identical verdicts.
+//! The suite is worker-count-agnostic: CI runs it at `PIM_RUN_THREADS`
+//! 1, 2 and 4 and expects identical verdicts.
 
 use pim_graph::gen::{random_dag, GenSpec};
 use pim_hw::faults::FaultPlan;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 use pim_runtime::stats::cross_check_counters;
 use pim_sim::cache;
 use pim_sim::configs::{simulate, SystemConfig};
@@ -45,15 +47,12 @@ fn random_graphs_run_identically_on_every_preset() {
         }];
         for preset in SystemPreset::ALL {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let reference = engine.run(&wl).unwrap();
+            let reference = engine.execute(&RunRequest::new(&wl)).unwrap().into_report();
             let detailed = engine
-                .run_with(
-                    &wl,
-                    &RunOptions {
-                        timeline: true,
-                        ..RunOptions::default()
-                    },
-                )
+                .execute(&RunRequest::new(&wl).with_options(RunOptions {
+                    timeline: true,
+                    ..RunOptions::default()
+                }))
                 .unwrap();
             assert_eq!(
                 reference,
@@ -98,20 +97,20 @@ fn faulted_runs_are_deterministic_and_legal() {
         }];
         for preset in SystemPreset::ALL {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let baseline = engine.run(&wl).unwrap();
+            let baseline = engine.execute(&RunRequest::new(&wl)).unwrap().into_report();
             let plan = FaultPlan::seeded(seed, RATE, baseline.makespan, engine.config().ff_units);
 
             let reference = engine
-                .run_with_faults(&wl, &RunOptions::default(), &plan)
+                .execute(&RunRequest::new(&wl).with_faults(plan.clone()))
                 .unwrap();
             let detailed = engine
-                .run_with_faults(
-                    &wl,
-                    &RunOptions {
-                        timeline: true,
-                        ..RunOptions::default()
-                    },
-                    &plan,
+                .execute(
+                    &RunRequest::new(&wl)
+                        .with_options(RunOptions {
+                            timeline: true,
+                            ..RunOptions::default()
+                        })
+                        .with_faults(plan.clone()),
                 )
                 .unwrap();
             assert_eq!(
@@ -125,7 +124,7 @@ fn faulted_runs_are_deterministic_and_legal() {
             );
 
             let rerun = engine
-                .run_with_faults(&wl, &RunOptions::default(), &plan)
+                .execute(&RunRequest::new(&wl).with_faults(plan.clone()))
                 .unwrap();
             assert_eq!(
                 reference.report(),
@@ -166,8 +165,8 @@ fn warm_profile_memo_changes_nothing() {
             steps: STEPS,
             cpu_progr_only: false,
         }];
-        let cold = engine.run(&wl).unwrap();
-        let warm = engine.run(&wl).unwrap();
+        let cold = engine.execute(&RunRequest::new(&wl)).unwrap().into_report();
+        let warm = engine.execute(&RunRequest::new(&wl)).unwrap().into_report();
         assert_eq!(cold, warm, "seed {seed}: memo-warm rerun diverged");
     }
 }

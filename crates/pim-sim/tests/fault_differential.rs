@@ -8,7 +8,7 @@
 
 use pim_hw::faults::FaultPlan;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use std::fmt::Write as _;
 
 const STEPS: usize = 2;
@@ -31,14 +31,13 @@ fn none_plan_sweep_matches_the_golden_table() {
         for preset in SystemPreset::ALL {
             let engine = Engine::new(EngineConfig::preset(preset));
             let run = engine
-                .run_with_faults(
-                    &[WorkloadSpec {
+                .execute(
+                    &RunRequest::new(&[WorkloadSpec {
                         graph: model.graph(),
                         steps: STEPS,
                         cpu_progr_only: false,
-                    }],
-                    &RunOptions::default(),
-                    &FaultPlan::none(),
+                    }])
+                    .with_faults(FaultPlan::none()),
                 )
                 .unwrap();
             assert!(run.degraded.is_none(), "{kind} @ {preset:?}");

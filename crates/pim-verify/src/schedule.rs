@@ -9,7 +9,9 @@
 use pim_common::Diagnostics;
 use pim_graph::Graph;
 use pim_hw::faults::FaultPlan;
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 
 /// The pass name stamped on every diagnostic this module emits (matches
 /// [`pim_runtime::verify::PASS`] — the replay checker lives there).
@@ -45,8 +47,12 @@ pub fn verify_schedule(
     }];
     let mut diags = Diagnostics::new();
     let subject = format!("{model}@{}", cfg.name);
-    match engine.run_detailed(&workloads) {
-        Ok((_, timeline)) => match engine.verify_timeline(&workloads, &timeline) {
+    let opts = RunOptions {
+        timeline: true,
+        ..RunOptions::default()
+    };
+    match engine.execute(&RunRequest::new(&workloads).with_options(opts)) {
+        Ok(out) => match engine.verify_timeline(&workloads, &out.timeline.unwrap_or_default()) {
             Ok(inner) => {
                 for d in inner.items() {
                     diags.push(
@@ -86,8 +92,8 @@ pub fn verify_faulted_schedule(
     }];
     let mut diags = Diagnostics::new();
     let subject = format!("{model}@{} (faults seed {seed} rate {rate})", cfg.name);
-    let horizon = match engine.run(&workloads) {
-        Ok(report) => report.makespan,
+    let horizon = match engine.execute(&RunRequest::new(&workloads)) {
+        Ok(out) => out.report().makespan,
         Err(err) => {
             diags.error(
                 PASS,
@@ -102,7 +108,11 @@ pub fn verify_faulted_schedule(
         timeline: true,
         ..RunOptions::default()
     };
-    match engine.run_with_faults(&workloads, &opts, &plan) {
+    match engine.execute(
+        &RunRequest::new(&workloads)
+            .with_options(opts)
+            .with_faults(plan.clone()),
+    ) {
         Ok(out) => {
             let timeline = out.timeline.unwrap_or_default();
             match engine.verify_timeline_faulted(&workloads, &timeline, &plan) {

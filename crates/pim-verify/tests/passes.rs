@@ -8,7 +8,9 @@ use pim_graph::node::{OpKind, TensorRole};
 use pim_graph::Graph;
 use pim_models::{Model, ModelKind};
 use pim_opencl::kir::{KernelSource, Region};
-use pim_runtime::engine::{Engine, EngineConfig, ResourceClass, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, ResourceClass, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 use pim_tensor::ops::activation::Activation;
 use pim_tensor::ops::elementwise::BinaryOp;
 use pim_tensor::Shape;
@@ -169,7 +171,12 @@ fn schedule_pass_catches_double_booked_cpu() {
         steps: 1,
         cpu_progr_only: false,
     }];
-    let (_, mut timeline) = engine.run_detailed(&workloads).unwrap();
+    let opts = RunOptions {
+        timeline: true,
+        ..RunOptions::default()
+    };
+    let request = RunRequest::new(&workloads).with_options(opts);
+    let mut timeline = engine.execute(&request).unwrap().timeline.unwrap();
     let clean = engine.verify_timeline(&workloads, &timeline).unwrap();
     assert!(clean.is_empty(), "{}", clean.render_text());
 

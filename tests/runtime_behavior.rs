@@ -3,15 +3,19 @@
 //! the training session facade.
 
 use hetero_pim::models::{Model, ModelKind};
-use hetero_pim::runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
-use hetero_pim::runtime::TrainingSession;
+use hetero_pim::runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
+use hetero_pim::runtime::{ExecutionReport, TrainingSession};
 
-fn workload(model: &Model, steps: usize) -> WorkloadSpec<'_> {
-    WorkloadSpec {
+fn run(cfg: EngineConfig, model: &Model, steps: usize) -> ExecutionReport {
+    let workload = WorkloadSpec {
         graph: model.graph(),
         steps,
         cpu_progr_only: false,
-    }
+    };
+    Engine::new(cfg)
+        .execute(&RunRequest::new(&[workload]))
+        .unwrap()
+        .into_report()
 }
 
 /// Fig. 13: across every CNN, the ablation ordering holds:
@@ -21,10 +25,9 @@ fn workload(model: &Model, steps: usize) -> WorkloadSpec<'_> {
 fn ablation_ordering_holds_for_every_cnn() {
     for kind in ModelKind::CNNS {
         let model = Model::build(kind).unwrap();
-        let run = |cfg: EngineConfig| Engine::new(cfg).run(&[workload(&model, 2)]).unwrap();
-        let bare = run(EngineConfig::preset(SystemPreset::HeteroBare));
-        let rc = run(EngineConfig::preset(SystemPreset::HeteroRc));
-        let full = run(EngineConfig::preset(SystemPreset::Hetero));
+        let bare = run(EngineConfig::preset(SystemPreset::HeteroBare), &model, 2);
+        let rc = run(EngineConfig::preset(SystemPreset::HeteroRc), &model, 2);
+        let full = run(EngineConfig::preset(SystemPreset::Hetero), &model, 2);
         assert!(rc.makespan < bare.makespan, "{kind}: RC must help");
         assert!(
             full.makespan.seconds() <= rc.makespan.seconds() * 1.02,
@@ -33,12 +36,8 @@ fn ablation_ordering_holds_for_every_cnn() {
     }
     for kind in [ModelKind::Vgg19, ModelKind::AlexNet, ModelKind::InceptionV3] {
         let model = Model::build(kind).unwrap();
-        let bare = Engine::new(EngineConfig::preset(SystemPreset::HeteroBare))
-            .run(&[workload(&model, 2)])
-            .unwrap();
-        let fixed = Engine::new(EngineConfig::preset(SystemPreset::FixedHost))
-            .run(&[workload(&model, 2)])
-            .unwrap();
+        let bare = run(EngineConfig::preset(SystemPreset::HeteroBare), &model, 2);
+        let fixed = run(EngineConfig::preset(SystemPreset::FixedHost), &model, 2);
         let gain = fixed.makespan / bare.makespan - 1.0;
         assert!(
             gain > 0.05,
@@ -53,10 +52,9 @@ fn ablation_ordering_holds_for_every_cnn() {
 #[test]
 fn utilization_rises_with_rc_and_op() {
     let model = Model::build(ModelKind::Vgg19).unwrap();
-    let run = |cfg: EngineConfig, steps| Engine::new(cfg).run(&[workload(&model, steps)]).unwrap();
-    let bare = run(EngineConfig::preset(SystemPreset::HeteroBare), 2);
-    let rc = run(EngineConfig::preset(SystemPreset::HeteroRc), 2);
-    let full = run(EngineConfig::preset(SystemPreset::Hetero), 4);
+    let bare = run(EngineConfig::preset(SystemPreset::HeteroBare), &model, 2);
+    let rc = run(EngineConfig::preset(SystemPreset::HeteroRc), &model, 2);
+    let full = run(EngineConfig::preset(SystemPreset::Hetero), &model, 4);
     assert!(bare.ff_utilization < rc.ff_utilization);
     assert!(rc.ff_utilization < full.ff_utilization);
     assert!(
@@ -100,7 +98,7 @@ fn reports_are_well_formed_for_all_models_and_configs() {
             EngineConfig::preset(SystemPreset::Hetero),
         ] {
             let name = cfg.name.clone();
-            let r = Engine::new(cfg).run(&[workload(&model, 2)]).unwrap();
+            let r = run(cfg, &model, 2);
             assert!(r.is_well_formed(), "{kind} under {name}");
         }
     }
@@ -111,14 +109,9 @@ fn reports_are_well_formed_for_all_models_and_configs() {
 #[test]
 fn pipeline_amortizes_without_violating_order() {
     let model = Model::build(ModelKind::AlexNet).unwrap();
-    let run = |steps| {
-        Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-            .run(&[workload(&model, steps)])
-            .unwrap()
-            .makespan
-    };
-    let one = run(1);
-    let four = run(4);
+    let hetero = |steps| run(EngineConfig::preset(SystemPreset::Hetero), &model, steps).makespan;
+    let one = hetero(1);
+    let four = hetero(4);
     assert!(four > one);
     assert!(four.seconds() < 4.0 * one.seconds());
 }
