@@ -176,6 +176,15 @@ grep -q '"cross_tenant_hits":[1-9]' "$serve_a"
 cargo run --release -q -p pim-sim --bin repro -- \
     serve --load 300 --seed 1 --sample 20 > /dev/null
 
+# End-to-end identity: the serve and sweep benchmark workloads on the
+# held-out seed. perfbench exits 1 when a sampled serve response differs
+# from a direct engine run or when output digests differ between
+# repetitions, which is what a memo or cache key merging two cells does.
+for workload in serve_trace paper_sweep; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 90001 --seconds 1 --trace 0 > /dev/null
+done
+
 # Chaos smoke: the seeded resilience harness (adversarial schedule,
 # exactly-once + breaker-conformance + worker-matrix + kill-restart
 # recovery + disconnect invariants, DESIGN.md §4.13) must pass and its

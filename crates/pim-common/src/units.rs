@@ -4,8 +4,10 @@
 //! nearly every formula; these newtypes make unit errors compile errors while
 //! keeping arithmetic ergonomic (C-NEWTYPE, C-OVERLOAD).
 
+use crate::fingerprint::Fingerprint;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::Hasher;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -108,6 +110,12 @@ macro_rules! define_quantity {
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!("{:.6} ", $unit), self.0)
+            }
+        }
+
+        impl Fingerprint for $name {
+            fn fingerprint<H: Hasher>(&self, state: &mut H) {
+                self.0.fingerprint(state);
             }
         }
     };

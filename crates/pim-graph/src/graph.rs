@@ -1,11 +1,13 @@
 //! The dataflow graph of one training step.
 
 use crate::node::{OpKind, OpNode, TensorInfo, TensorRole};
+use pim_common::fingerprint::of_hash;
 use pim_common::ids::{OpId, TensorId};
 use pim_common::{PimError, Result};
 use pim_tensor::Shape;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 
 /// A directed acyclic graph of operations over tensors, representing one
 /// training step of a model.
@@ -36,6 +38,17 @@ use std::collections::{HashMap, VecDeque};
 pub struct Graph {
     tensors: Vec<TensorInfo>,
     ops: Vec<OpNode>,
+    /// The op producing each tensor, indexed by tensor id.
+    producer: Vec<Option<OpId>>,
+    /// Running hash of the tensor list, extended by `add_tensor`.
+    tensor_hash: u64,
+    /// Running hash of the op list, extended by `add_op`.
+    op_hash: u64,
+}
+
+/// Extends a running list hash by one item.
+fn fold(acc: u64, item: &impl Hash) -> u64 {
+    of_hash(&(acc, item))
 }
 
 impl Graph {
@@ -52,12 +65,15 @@ impl Graph {
         name: impl Into<String>,
     ) -> TensorId {
         let id = TensorId::new(self.tensors.len());
-        self.tensors.push(TensorInfo {
+        let info = TensorInfo {
             id,
             shape,
             role,
             name: name.into(),
-        });
+        };
+        self.tensor_hash = fold(self.tensor_hash, &info);
+        self.tensors.push(info);
+        self.producer.push(None);
         id
     }
 
@@ -83,7 +99,7 @@ impl Graph {
             }
         }
         for &out in &outputs {
-            if self.ops.iter().any(|op| op.outputs.contains(&out)) {
+            if self.producer[out.index()].is_some() {
                 return Err(PimError::invalid(
                     "Graph::add_op",
                     format!("tensor {out} already has a producer"),
@@ -91,12 +107,17 @@ impl Graph {
             }
         }
         let id = OpId::new(self.ops.len());
-        self.ops.push(OpNode {
+        for &out in &outputs {
+            self.producer[out.index()] = Some(id);
+        }
+        let node = OpNode {
             id,
             kind,
             inputs,
             outputs,
-        });
+        };
+        self.op_hash = fold(self.op_hash, &node);
+        self.ops.push(node);
         Ok(id)
     }
 
@@ -141,67 +162,63 @@ impl Graph {
 
     /// Map from tensor to the op that produces it.
     pub fn producers(&self) -> HashMap<TensorId, OpId> {
-        let mut map = HashMap::new();
-        for op in &self.ops {
-            for &out in &op.outputs {
-                map.insert(out, op.id);
-            }
-        }
-        map
+        self.producer
+            .iter()
+            .enumerate()
+            .filter_map(|(t, op)| op.map(|op| (TensorId::new(t), op)))
+            .collect()
+    }
+
+    /// The sorted, deduplicated producers of an op's inputs.
+    fn deps_of(&self, op: &OpNode) -> Vec<OpId> {
+        let mut deps: Vec<OpId> = op
+            .inputs
+            .iter()
+            .filter_map(|tid| self.producer[tid.index()])
+            .collect();
+        deps.sort_unstable();
+        deps.dedup();
+        deps
     }
 
     /// The ops whose outputs this op consumes — its dependencies.
     pub fn dependencies(&self, id: OpId) -> Result<Vec<OpId>> {
-        let producers = self.producers();
-        let op = self.op(id)?;
-        let mut deps: Vec<OpId> = op
-            .inputs
-            .iter()
-            .filter_map(|tid| producers.get(tid).copied())
-            .collect();
-        deps.sort_unstable();
-        deps.dedup();
-        Ok(deps)
+        Ok(self.deps_of(self.op(id)?))
     }
 
     /// Per-op dependency lists for the whole graph, indexed by op id.
     ///
-    /// Entry `i` equals `dependencies(OpId::new(i))`, but the producer map
-    /// is built once for the whole graph instead of once per op, so
-    /// preparing an `n`-op graph costs O(n + e) rather than O(n·e).
+    /// Entry `i` equals `dependencies(OpId::new(i))`; producers come from
+    /// the index `add_op` maintains, so an `n`-op graph costs O(n + e).
     pub fn all_dependencies(&self) -> Vec<Vec<OpId>> {
-        let producers = self.producers();
-        self.ops
-            .iter()
-            .map(|op| {
-                let mut deps: Vec<OpId> = op
-                    .inputs
-                    .iter()
-                    .filter_map(|tid| producers.get(tid).copied())
-                    .collect();
-                deps.sort_unstable();
-                deps.dedup();
-                deps
-            })
-            .collect()
+        self.ops.iter().map(|op| self.deps_of(op)).collect()
+    }
+
+    /// Sorted, deduplicated consumer lists, indexed by producing op.
+    fn consumer_lists(&self) -> Vec<Vec<OpId>> {
+        let mut lists: Vec<Vec<OpId>> = vec![Vec::new(); self.ops.len()];
+        for op in &self.ops {
+            for tid in &op.inputs {
+                if let Some(producer) = self.producer[tid.index()] {
+                    lists[producer.index()].push(op.id);
+                }
+            }
+        }
+        for list in &mut lists {
+            list.sort_unstable();
+            list.dedup();
+        }
+        lists
     }
 
     /// Adjacency: for each op, the ops that consume its outputs.
     pub fn consumers(&self) -> HashMap<OpId, Vec<OpId>> {
-        let producers = self.producers();
-        let mut map: HashMap<OpId, Vec<OpId>> = HashMap::new();
-        for op in &self.ops {
-            for tid in &op.inputs {
-                if let Some(&producer) = producers.get(tid) {
-                    map.entry(producer).or_default().push(op.id);
-                }
-            }
-        }
-        for list in map.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
-        map
+        self.consumer_lists()
+            .into_iter()
+            .enumerate()
+            .filter(|(_, users)| !users.is_empty())
+            .map(|(op, users)| (OpId::new(op), users))
+            .collect()
     }
 
     /// Kahn topological sort of the operations.
@@ -210,13 +227,10 @@ impl Graph {
     ///
     /// Returns [`PimError::GraphCycle`] when the graph is cyclic.
     pub fn topo_order(&self) -> Result<Vec<OpId>> {
+        let consumers = self.consumer_lists();
         let mut in_degree = vec![0usize; self.ops.len()];
-        let consumers = self.consumers();
-        for (producer, users) in &consumers {
-            let _ = producer;
-            for user in users {
-                in_degree[user.index()] += 1;
-            }
+        for user in consumers.iter().flatten() {
+            in_degree[user.index()] += 1;
         }
         let mut queue: VecDeque<OpId> = self
             .ops
@@ -227,12 +241,10 @@ impl Graph {
         let mut order = Vec::with_capacity(self.ops.len());
         while let Some(id) = queue.pop_front() {
             order.push(id);
-            if let Some(users) = consumers.get(&id) {
-                for &user in users {
-                    in_degree[user.index()] -= 1;
-                    if in_degree[user.index()] == 0 {
-                        queue.push_back(user);
-                    }
+            for &user in &consumers[id.index()] {
+                in_degree[user.index()] -= 1;
+                if in_degree[user.index()] == 0 {
+                    queue.push_back(user);
                 }
             }
         }
@@ -257,10 +269,13 @@ impl Graph {
     /// every tensor (shape, role, name) and every op (kind, operands) in
     /// id order. Two graphs built by the same sequence of `add_tensor` /
     /// `add_op` calls fingerprint identically, within and across
-    /// processes — the key the profiler's step cache and other sweep-level
-    /// memoizations rely on.
+    /// processes — the key the engine's analysis memo, the profiler's step
+    /// cache and other sweep-level memoizations rely on.
+    ///
+    /// O(1): `add_tensor` and `add_op`, the graph's only mutators, fold
+    /// each new item into a running hash of its list as it is added.
     pub fn structural_hash(&self) -> u64 {
-        pim_common::fingerprint::debug_hash(&(&self.tensors, &self.ops))
+        of_hash(&(self.tensor_hash, self.op_hash))
     }
 
     /// Total bytes of parameter tensors (a rough model size).
@@ -330,7 +345,70 @@ mod tests {
         let a = g.add_tensor(Shape::new(vec![1]), TensorRole::Input, "a");
         let b = g.add_tensor(Shape::new(vec![1]), TensorRole::Activation, "b");
         g.add_op(relu(), vec![a], vec![b]).unwrap();
-        assert!(g.add_op(relu(), vec![a], vec![b]).is_err());
+        let hash = g.structural_hash();
+        let err = g.add_op(relu(), vec![a], vec![b]).unwrap_err();
+        assert!(
+            matches!(&err, PimError::InvalidArgument { context: "Graph::add_op", message }
+                if message == "tensor t1 already has a producer"),
+            "{err:?}"
+        );
+        // A rejected op leaves no trace: not in the op list, the producer
+        // index, or the hash.
+        assert_eq!(g.op_count(), 1);
+        assert_eq!(g.producers()[&b], OpId::new(0));
+        assert_eq!(g.structural_hash(), hash);
+    }
+
+    /// One Conv2D op over named tensors; the arguments are the fields the
+    /// structural hash must see.
+    fn conv_graph(width: usize, filter_name: &str, stride: usize) -> Graph {
+        let mut g = Graph::new();
+        let x = g.add_tensor(Shape::new(vec![1, 3, width, 8]), TensorRole::Input, "x");
+        let f = g.add_tensor(
+            Shape::new(vec![4, 3, 3, 3]),
+            TensorRole::Parameter,
+            filter_name,
+        );
+        let y = g.add_tensor(Shape::new(vec![1, 4, 8, 8]), TensorRole::Activation, "y");
+        let geom = pim_tensor::ConvGeometry::square(3, stride, 1);
+        g.add_op(OpKind::Conv2D(geom), vec![x, f], vec![y]).unwrap();
+        g
+    }
+
+    #[test]
+    fn structural_hash_sees_every_item() {
+        let g = conv_graph(8, "w", 1);
+        assert_eq!(g.structural_hash(), conv_graph(8, "w", 1).structural_hash());
+        assert_eq!(g.structural_hash(), g.clone().structural_hash());
+        for (what, other) in [
+            ("shape dimension", conv_graph(9, "w", 1)),
+            ("tensor name", conv_graph(8, "v", 1)),
+            ("conv geometry", conv_graph(8, "w", 2)),
+        ] {
+            assert_ne!(g.structural_hash(), other.structural_hash(), "{what}");
+        }
+        // The hash depends on the two lists, not on how their additions
+        // interleave.
+        let mut late = Graph::new();
+        let x = late.add_tensor(Shape::new(vec![4]), TensorRole::Input, "t0");
+        let y = late.add_tensor(Shape::new(vec![4]), TensorRole::Activation, "t1");
+        late.add_op(relu(), vec![x], vec![y]).unwrap();
+        assert_eq!(late.structural_hash(), chain(1).structural_hash());
+    }
+
+    #[test]
+    fn producer_index_matches_an_op_scan() {
+        let g = chain(6);
+        let mut scanned = HashMap::new();
+        for op in g.ops() {
+            for &out in &op.outputs {
+                scanned.insert(out, op.id);
+            }
+        }
+        assert_eq!(g.producers(), scanned);
+        let consumers = g.consumers();
+        assert_eq!(consumers.len(), 5);
+        assert_eq!(consumers[&OpId::new(2)], vec![OpId::new(3)]);
     }
 
     #[test]

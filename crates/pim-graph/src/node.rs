@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Every operation kind the workloads use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash, Serialize, Deserialize)]
 pub enum OpKind {
     /// Forward 2-D convolution. Inputs: `[input, filter]`.
     Conv2D(ConvGeometry),
@@ -145,7 +145,7 @@ pub enum TensorRole {
 }
 
 /// Static description of one tensor in the graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct TensorInfo {
     /// The tensor's identifier.
     pub id: TensorId,
@@ -158,7 +158,7 @@ pub struct TensorInfo {
 }
 
 /// One operation node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct OpNode {
     /// The node's identifier.
     pub id: OpId,

@@ -2,11 +2,13 @@
 //! 16 GB DDR4).
 
 use crate::params::{estimate, ComputeEstimate, DeviceParams};
+use pim_common::fingerprint::Fingerprint;
 use pim_common::units::{Seconds, Watts};
 use pim_mem::energy::MemoryPath;
 use pim_mem::planar::Ddr4Config;
 use pim_tensor::cost::CostProfile;
 use serde::Serialize;
+use std::hash::Hasher;
 
 /// The host CPU.
 ///
@@ -69,6 +71,12 @@ impl CpuDevice {
     /// Estimates one operation executed entirely on the CPU.
     pub fn estimate_op(&self, cost: &CostProfile) -> ComputeEstimate {
         estimate(&self.params, cost, 1.0)
+    }
+}
+
+impl Fingerprint for CpuDevice {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        self.params.fingerprint(state);
     }
 }
 

@@ -22,8 +22,10 @@
 //! statically checkable (`pim-verify`'s fault-legality pass replays a
 //! timeline against the plan).
 
+use pim_common::fingerprint::Fingerprint;
 use pim_common::units::Seconds;
 use serde::Serialize;
+use std::hash::{Hash, Hasher};
 
 /// The same xorshift* step the seeded graph generator uses: deterministic,
 /// dependency-free, stable across platforms. Not for cryptography — for
@@ -54,7 +56,7 @@ impl FaultRng {
 }
 
 /// Which shared PIM resource a fault takes down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FaultTarget {
     /// Quarantines this many fixed-function units (clamped to the pool).
     FixedUnits(usize),
@@ -65,7 +67,7 @@ pub enum FaultTarget {
 /// The device lane a transient fault, link timeout, or straggler window
 /// applies to. The host CPU is the reliability anchor of the recovery
 /// policy and never faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FaultLane {
     /// The fixed-function pool (and the host↔pool link).
     Fixed,
@@ -94,6 +96,14 @@ pub struct PermanentFault {
     pub target: FaultTarget,
 }
 
+impl Fingerprint for PermanentFault {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let PermanentFault { at, target } = self;
+        at.fingerprint(state);
+        target.hash(state);
+    }
+}
+
 /// A latency-degradation window: ops *started* on `lane` within
 /// `[from, until)` run `multiplier`× slower (thermal throttling, refresh
 /// storms, a flaky vault).
@@ -107,6 +117,21 @@ pub struct StragglerWindow {
     pub until: Seconds,
     /// Latency multiplier, `>= 1`.
     pub multiplier: f64,
+}
+
+impl Fingerprint for StragglerWindow {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let StragglerWindow {
+            lane,
+            from,
+            until,
+            multiplier,
+        } = self;
+        lane.hash(state);
+        from.fingerprint(state);
+        until.fingerprint(state);
+        multiplier.fingerprint(state);
+    }
 }
 
 /// A complete, deterministic description of every fault a run will see.
@@ -139,6 +164,23 @@ pub struct FaultPlan {
     pub permanents: Vec<PermanentFault>,
     /// Latency-degradation windows.
     pub stragglers: Vec<StragglerWindow>,
+}
+
+impl Fingerprint for FaultPlan {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let FaultPlan {
+            seed,
+            transient_rate,
+            timeout_rate,
+            permanents,
+            stragglers,
+        } = self;
+        seed.hash(state);
+        transient_rate.fingerprint(state);
+        timeout_rate.fingerprint(state);
+        permanents.fingerprint(state);
+        stragglers.fingerprint(state);
+    }
 }
 
 impl FaultPlan {

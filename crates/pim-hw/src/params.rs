@@ -17,11 +17,13 @@
 //! Xeon/1080 Ti measurements) are not reproducible. Every constant is an
 //! explicit field here, not a buried magic number.
 
+use pim_common::fingerprint::Fingerprint;
 use pim_common::units::{Bytes, Joules, Seconds, Watts};
 use pim_mem::energy::MemoryPath;
 use pim_mem::traffic::{bandwidth_efficiency, AccessPattern};
 use pim_tensor::cost::CostProfile;
 use serde::Serialize;
+use std::hash::{Hash, Hasher};
 
 /// Static description of one compute element.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -43,6 +45,33 @@ pub struct DeviceParams {
     pub dynamic_power: Watts,
     /// Which memory path this device's traffic takes (determines pJ/bit).
     pub memory_path: MemoryPath,
+}
+
+impl Fingerprint for DeviceParams {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let DeviceParams {
+            name,
+            ma_throughput,
+            other_throughput,
+            control_throughput,
+            bandwidth,
+            dispatch_overhead,
+            dynamic_power,
+            memory_path,
+        } = self;
+        name.hash(state);
+        for rate in [
+            ma_throughput,
+            other_throughput,
+            control_throughput,
+            bandwidth,
+        ] {
+            rate.fingerprint(state);
+        }
+        dispatch_overhead.fingerprint(state);
+        dynamic_power.fingerprint(state);
+        memory_path.hash(state);
+    }
 }
 
 /// Timing/energy estimate for one operation on one device.

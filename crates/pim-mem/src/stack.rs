@@ -5,10 +5,12 @@
 //! 312.5 MHz … also used as the working frequency of our heterogeneous PIM."
 
 use crate::traffic::{transfer_time, AccessPattern};
+use pim_common::fingerprint::Fingerprint;
 use pim_common::ids::BankId;
 use pim_common::units::{Bytes, Seconds, Watts};
 use pim_common::{PimError, Result};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Number of banks (vertical slices) in the evaluated stack.
 pub const HMC2_BANKS: usize = 32;
@@ -49,6 +51,32 @@ pub struct StackConfig {
     t_rcd_cycles: u32,
     /// Row-precharge latency in memory cycles (tRP).
     t_rp_cycles: u32,
+}
+
+impl Fingerprint for StackConfig {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let StackConfig {
+            banks,
+            frequency_hz,
+            frequency_multiplier,
+            internal_peak_bytes_per_sec,
+            external_peak_bytes_per_sec,
+            row_buffer_bytes,
+            t_cl_cycles,
+            t_rcd_cycles,
+            t_rp_cycles,
+        } = self;
+        banks.hash(state);
+        for rate in [
+            frequency_hz,
+            frequency_multiplier,
+            internal_peak_bytes_per_sec,
+            external_peak_bytes_per_sec,
+        ] {
+            rate.fingerprint(state);
+        }
+        (row_buffer_bytes, t_cl_cycles, t_rcd_cycles, t_rp_cycles).hash(state);
+    }
 }
 
 impl StackConfig {

@@ -53,10 +53,11 @@ fn plan_serial(
     wl: &Prepared<'_>,
     avail: Availability,
 ) -> Result<Vec<(PlanKind, PlannedOp, bool)>> {
-    wl.topo
+    wl.analysis
+        .topo
         .iter()
         .map(|&op| {
-            let cost = &wl.costs[op];
+            let cost = &wl.analysis.costs[op];
             let is_candidate = wl.candidates.contains(OpId::new(op));
             let kind = planner
                 .choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
@@ -124,7 +125,7 @@ pub(crate) fn run_serialized<F: FaultModel>(
         // numbers are bit-identical).
         let mut plans = Vec::new();
         for step in 0..wl.spec.steps {
-            for (i, &op) in wl.topo.iter().enumerate() {
+            for (i, &op) in wl.analysis.topo.iter().enumerate() {
                 let mut attempt = 0u32;
                 loop {
                     // Strikes due by now take effect before placement.
@@ -194,7 +195,7 @@ pub(crate) fn run_serialized<F: FaultModel>(
                         entry,
                         planned: &charge,
                         kind,
-                        cost: &wl.costs[op],
+                        cost: &wl.analysis.costs[op],
                         name: ops[op].kind.tf_name(),
                         candidate: is_candidate,
                         inflight: 1,
@@ -282,7 +283,8 @@ impl ReadySet {
             .map(|wl| {
                 (0..wl.spec.steps)
                     .map(|step| {
-                        wl.deps
+                        wl.analysis
+                            .deps
                             .iter()
                             .map(|d| d.len() + usize::from(step > 0))
                             .collect()
@@ -292,7 +294,7 @@ impl ReadySet {
             .collect();
         let step_left: Vec<Vec<usize>> = prepared
             .iter()
-            .map(|wl| vec![wl.topo.len(); wl.spec.steps])
+            .map(|wl| vec![wl.analysis.topo.len(); wl.spec.steps])
             .collect();
         let min_incomplete: Vec<usize> = vec![0; prepared.len()];
         let mut ready: BTreeSet<Key> = BTreeSet::new();
@@ -301,11 +303,11 @@ impl ReadySet {
             .map(|wl| vec![0usize; wl.spec.steps])
             .collect();
         for (w, wl) in prepared.iter().enumerate() {
-            for (op, deps) in wl.deps.iter().enumerate() {
+            for (op, deps) in wl.analysis.deps.iter().enumerate() {
                 if deps.is_empty() && wl.spec.steps > 0 {
                     ready.insert(Key {
                         step: 0,
-                        rank: wl.rank[op],
+                        rank: wl.analysis.rank[op],
                         wl: w,
                         op,
                     });
@@ -331,7 +333,7 @@ impl ReadySet {
     fn requeue(&mut self, prepared: &[Prepared<'_>], w: usize, step: usize, op: usize) {
         self.insert(Key {
             step,
-            rank: prepared[w].rank[op],
+            rank: prepared[w].analysis.rank[op],
             wl: w,
             op,
         });
@@ -347,13 +349,13 @@ impl ReadySet {
     fn complete(&mut self, prepared: &[Prepared<'_>], w: usize, step: usize, op: usize) {
         let wl = &prepared[w];
         // Intra-step consumers.
-        for &c in &wl.consumers[op] {
+        for &c in &wl.analysis.consumers[op] {
             let r = &mut self.remaining[w][step][c];
             *r -= 1;
             if *r == 0 {
                 self.insert(Key {
                     step,
-                    rank: wl.rank[c],
+                    rank: wl.analysis.rank[c],
                     wl: w,
                     op: c,
                 });
@@ -366,7 +368,7 @@ impl ReadySet {
             if *r == 0 {
                 self.insert(Key {
                     step: step + 1,
-                    rank: wl.rank[op],
+                    rank: wl.analysis.rank[op],
                     wl: w,
                     op,
                 });
@@ -442,7 +444,7 @@ fn record_attempt(
         entry,
         planned: charge,
         kind: rec.kind,
-        cost: &wl.costs[rec.op],
+        cost: &wl.analysis.costs[rec.op],
         name: wl.spec.graph.ops()[rec.op].kind.tf_name(),
         candidate: rec.candidate,
         inflight: rec.inflight_at_dispatch,
@@ -472,7 +474,7 @@ pub(crate) fn run_scheduled<F: FaultModel>(
     let mut attempts: Vec<Vec<u32>> = if F::INJECTS {
         prepared
             .iter()
-            .map(|wl| vec![0u32; wl.spec.steps * wl.deps.len()])
+            .map(|wl| vec![0u32; wl.spec.steps * wl.analysis.deps.len()])
             .collect()
     } else {
         Vec::new()
@@ -507,13 +509,14 @@ pub(crate) fn run_scheduled<F: FaultModel>(
     let mut acc = Accumulator::default();
     let total_instances: usize = prepared
         .iter()
-        .map(|wl| wl.spec.steps * wl.topo.len())
+        .map(|wl| wl.spec.steps * wl.analysis.topo.len())
         .sum();
     let mut completed = 0usize;
     let mut inflight = 0usize;
     // Scratch buffer for the per-wake scan over the ready set, reused
     // across iterations and pre-sized for the whole graph.
-    let mut scan: Vec<Key> = Vec::with_capacity(prepared.iter().map(|wl| wl.topo.len()).sum());
+    let mut scan: Vec<Key> =
+        Vec::with_capacity(prepared.iter().map(|wl| wl.analysis.topo.len()).sum());
 
     while completed < total_instances {
         // Schedule everything that fits right now. One pass in priority
@@ -543,14 +546,14 @@ pub(crate) fn run_scheduled<F: FaultModel>(
             if key.step >= rs.min_incomplete[key.wl] + planner.cfg.pipeline_depth {
                 continue; // pipeline window closed for this step
             }
-            let cost = &wl.costs[key.op];
+            let cost = &wl.analysis.costs[key.op];
             let is_candidate = wl.candidates.contains(OpId::new(key.op));
             let Some(kind) = planner.choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
             else {
                 continue;
             };
             let attempt = if F::INJECTS {
-                attempts[key.wl][key.step * wl.deps.len() + key.op]
+                attempts[key.wl][key.step * wl.analysis.deps.len() + key.op]
             } else {
                 0
             };
@@ -666,7 +669,7 @@ pub(crate) fn run_scheduled<F: FaultModel>(
                         rs.complete(prepared, rec.wl, rec.step, rec.op);
                     }
                     AttemptOutcome::Transient => {
-                        attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
+                        attempts[rec.wl][rec.step * wl.analysis.deps.len() + rec.op] += 1;
                         comps.observer(watch).fault(
                             clock.now(),
                             "transient",
@@ -685,7 +688,7 @@ pub(crate) fn run_scheduled<F: FaultModel>(
                         );
                     }
                     AttemptOutcome::TimedOut => {
-                        attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
+                        attempts[rec.wl][rec.step * wl.analysis.deps.len() + rec.op] += 1;
                         comps.observer(watch).fault(
                             clock.now(),
                             "timed-out",
@@ -759,7 +762,7 @@ pub(crate) fn run_scheduled<F: FaultModel>(
                         .observer(watch)
                         .killed(clock.now(), rec.wl, rec.step, rec.op);
                     comps.observer(watch).retried();
-                    attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
+                    attempts[rec.wl][rec.step * wl.analysis.deps.len() + rec.op] += 1;
                     rs.requeue(prepared, rec.wl, rec.step, rec.op);
                 }
                 match s.target {

@@ -45,6 +45,7 @@ pub use drivers::{run_device_serial, DeviceRun};
 pub use faults::{backoff_after, AttemptOutcome, BACKOFF_BASE, LINK_TIMEOUT, MAX_ATTEMPTS};
 pub use observe::{NullSink, ResourceClass, TimelineEntry, TimelineSink, VecSink};
 
+use crate::analysis::GraphAnalysis;
 use crate::fuzz::TieBreak;
 use crate::profiler::profile_step_cached;
 use crate::select::{select_candidates, select_candidates_tie, CandidateSet};
@@ -52,21 +53,23 @@ use crate::stats::ExecutionReport;
 use crate::verify::{ResourceLimits, WorkloadFacts};
 use faults::{FaultContext, FaultModel, NoFaults};
 use observe::{Observer, SCHED_TRACK};
+use pim_common::fingerprint::Fingerprint;
 use pim_common::trace::{Counters, NullTrace, TraceEvent, TraceRecording, TraceSink};
 use pim_common::units::Seconds;
 use pim_common::{Diagnostics, PimError, Result};
-use pim_graph::cost::graph_costs;
 use pim_graph::Graph;
 use pim_hw::cpu::CpuDevice;
 use pim_hw::faults::{FaultPlan, FaultTarget};
 use pim_hw::fixed::FixedFunctionPool;
 use pim_mem::stack::StackConfig;
-use pim_tensor::cost::CostProfile;
 use placement::{describe, Availability, Planner};
 use serde::Serialize;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Which compute complement the simulated system has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SystemMode {
     /// Everything on the host CPU.
     CpuOnly,
@@ -142,7 +145,7 @@ impl SystemPreset {
 }
 
 /// How programmable-PIM placements are costed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum ProgrBackend {
     /// The closed-form device formula (`pim_hw::params::estimate`) — the
     /// default, and byte-identical to the pre-ISA engine.
@@ -181,10 +184,41 @@ pub struct EngineConfig {
     /// The host CPU: step-1 profiling and all CPU placements run on this
     /// device (defaults to the paper's Xeon E5-2630 v3).
     pub host: CpuDevice,
-    /// Programmable-PIM costing backend. Part of the `Debug` rendering, so
-    /// [`RunRequest::fingerprint`] distinguishes analytic from interpreted
-    /// runs in the shared result store.
+    /// Programmable-PIM costing backend. Part of the configuration's
+    /// [`Fingerprint`], so [`RunRequest::fingerprint`] distinguishes
+    /// analytic from interpreted runs in the shared result store.
     pub progr_backend: ProgrBackend,
+}
+
+impl Fingerprint for EngineConfig {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let EngineConfig {
+            name,
+            mode,
+            recursive_kernels,
+            operation_pipeline,
+            pipeline_depth,
+            coverage,
+            stack,
+            arm_cores,
+            ff_units,
+            host,
+            progr_backend,
+        } = self;
+        (
+            name,
+            mode,
+            recursive_kernels,
+            operation_pipeline,
+            pipeline_depth,
+        )
+            .hash(state);
+        coverage.fingerprint(state);
+        stack.fingerprint(state);
+        (arm_cores, ff_units).hash(state);
+        host.fingerprint(state);
+        progr_backend.hash(state);
+    }
 }
 
 impl EngineConfig {
@@ -275,15 +309,12 @@ pub struct PlanRow {
     pub seconds: f64,
 }
 
-/// Prepared per-workload state the execution drivers consume.
+/// Prepared per-workload state the execution drivers consume: the
+/// graph's shared analysis plus this run's candidate set.
 pub(crate) struct Prepared<'g> {
     pub spec: WorkloadSpec<'g>,
-    pub costs: Vec<CostProfile>,
+    pub analysis: Arc<GraphAnalysis>,
     pub candidates: CandidateSet,
-    pub deps: Vec<Vec<usize>>,
-    pub consumers: Vec<Vec<usize>>,
-    pub topo: Vec<usize>,
-    pub rank: Vec<usize>,
 }
 
 /// Knobs for one [`RunRequest`]: which observability artifacts to
@@ -305,7 +336,7 @@ pub struct RunOptions {
 }
 
 /// How [`Engine::execute`] maps workloads onto the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum Partitioning {
     /// All workloads co-run on one shared resource state (the Fig. 16
     /// co-scheduling scenario) and produce a single aggregate report.
@@ -418,11 +449,28 @@ impl<'g> RunRequest<'g> {
         s
     }
 
-    /// The content hash of [`RunRequest::canonical`] — the shared result
-    /// store key (`pim_common::fingerprint::debug_hash` over the canonical
-    /// string, stable across processes and thread counts).
+    /// The content hash of everything [`RunRequest::canonical`] renders —
+    /// the shared result store key. The fields are hashed directly (the
+    /// configuration through its [`Fingerprint`], each graph through its
+    /// kept structural hash), so keying a request never formats anything;
+    /// stable across processes and thread counts.
     pub fn fingerprint(&self, cfg: &EngineConfig) -> u64 {
-        pim_common::fingerprint::debug_hash(&self.canonical(cfg))
+        let mut state = DefaultHasher::new();
+        cfg.fingerprint(&mut state);
+        self.workloads.len().hash(&mut state);
+        for wl in &self.workloads {
+            (
+                wl.graph.structural_hash(),
+                wl.graph.op_count(),
+                wl.steps,
+                wl.cpu_progr_only,
+            )
+                .hash(&mut state);
+        }
+        self.options.tie.hash(&mut state);
+        self.faults.fingerprint(&mut state);
+        self.partitioning.hash(&mut state);
+        state.finish()
     }
 }
 
@@ -513,7 +561,7 @@ impl Engine {
         let coverage = self.planner.cfg.coverage;
         let mut prepared = Vec::with_capacity(workloads.len());
         for wl in workloads {
-            let costs = graph_costs(wl.graph)?;
+            let analysis = GraphAnalysis::of(wl.graph)?;
             let profile = profile_step_cached(wl.graph, self.planner.cpu())?;
             let candidates = select_candidates_tie(&profile, coverage, tie);
             if tracer.enabled() {
@@ -537,31 +585,10 @@ impl Engine {
                     });
                 }
             }
-            let deps: Vec<Vec<usize>> = wl
-                .graph
-                .all_dependencies()
-                .into_iter()
-                .map(|v| v.into_iter().map(pim_common::ids::OpId::index).collect())
-                .collect();
-            let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); wl.graph.op_count()];
-            for (op, ds) in deps.iter().enumerate() {
-                for &d in ds {
-                    consumers[d].push(op);
-                }
-            }
-            let topo = wl.graph.topo_order()?;
-            let mut rank = vec![0usize; wl.graph.op_count()];
-            for (r, id) in topo.iter().enumerate() {
-                rank[id.index()] = r;
-            }
             prepared.push(Prepared {
                 spec: *wl,
-                costs,
+                analysis,
                 candidates,
-                deps,
-                consumers,
-                topo: topo.iter().map(|id| id.index()).collect(),
-                rank,
             });
         }
         Ok(prepared)
@@ -856,10 +883,10 @@ impl Engine {
         let facts: Vec<WorkloadFacts> = prepared
             .iter()
             .map(|wl| WorkloadFacts {
-                deps: wl.deps.clone(),
+                deps: &wl.analysis.deps,
                 steps: wl.spec.steps,
                 restricted: wl.spec.cpu_progr_only,
-                costs: wl.costs.clone(),
+                costs: &wl.analysis.costs,
                 names: wl
                     .spec
                     .graph
@@ -918,12 +945,12 @@ impl Engine {
     ///
     /// Propagates profiling/cost failures.
     pub fn plan_preview(&self, graph: &Graph) -> Result<Vec<PlanRow>> {
-        let costs = graph_costs(graph)?;
+        let analysis = GraphAnalysis::of(graph)?;
         let profile = profile_step_cached(graph, self.planner.cpu())?;
         let candidates = select_candidates(&profile, self.planner.cfg.coverage);
         let mut rows = Vec::with_capacity(graph.op_count());
         for node in graph.ops() {
-            let cost = &costs[node.id.index()];
+            let cost = &analysis.costs[node.id.index()];
             let candidate = candidates.contains(node.id);
             let kind = self
                 .planner

@@ -20,7 +20,7 @@ use crate::stats::normalized_parts;
 use crate::sync::{
     kernel_calls, HOST_CALL, HOST_FF_SYNC, HOST_PROGR_SYNC, PIM_CALL, PIM_INTERNAL_SYNC,
 };
-use pim_common::fingerprint::debug_hash;
+use pim_common::fingerprint::{self, of_hash};
 use pim_common::units::{Joules, Seconds};
 use pim_hw::arm::{ProgrammablePim, ProgrammablePool};
 use pim_hw::cpu::CpuDevice;
@@ -223,7 +223,7 @@ impl IsaEstimator {
         pair: bool,
         cost: &CostProfile,
     ) -> Option<ComputeEstimate> {
-        self.memoized(debug_hash(&("whole", pair, cost)), || {
+        self.memoized(of_hash(&("whole", pair, fingerprint::of(cost))), || {
             let kernel = KernelSource::from_cost("op", cost);
             let program = lower_kernel(&kernel, cost).ok()?;
             let machine = self.machine(pair);
@@ -248,7 +248,7 @@ impl IsaEstimator {
         cost: &CostProfile,
         rest: &CostProfile,
     ) -> Option<ComputeEstimate> {
-        self.memoized(debug_hash(&("recursive", pair, cost)), || {
+        self.memoized(of_hash(&("recursive", pair, fingerprint::of(cost))), || {
             let set = BinarySet::generate(KernelSource::from_cost("op", cost)).ok()?;
             let program = lower_recursive(&set, rest).ok()?;
             let machine = self.machine(pair);

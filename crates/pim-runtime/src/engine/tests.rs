@@ -676,3 +676,126 @@ mod isa_tests {
         assert_eq!(analytic.dynamic_energy, isa.dynamic_energy);
     }
 }
+
+mod identity_tests {
+    use super::*;
+    use pim_graph::gen::{random_dag, GenSpec};
+
+    #[test]
+    fn every_identity_field_changes_the_fingerprint() {
+        let graph = random_dag(&GenSpec::from_seed(1));
+        let spec = WorkloadSpec {
+            graph: &graph,
+            steps: 2,
+            cpu_progr_only: false,
+        };
+        let cfg = EngineConfig::preset(SystemPreset::Hetero);
+        let plan = FaultPlan::seeded(7, 0.3, Seconds::new(1.0), cfg.ff_units);
+        assert!(!plan.permanents.is_empty() && !plan.stragglers.is_empty());
+        let base = RunRequest::new(&[spec]).with_faults(plan.clone());
+        let key = base.fingerprint(&cfg);
+
+        let config = |edit: fn(&mut EngineConfig)| {
+            let mut changed = cfg.clone();
+            edit(&mut changed);
+            changed
+        };
+        let configs = [
+            ("name", config(|c| c.name = "other".into())),
+            ("mode", config(|c| c.mode = SystemMode::FixedHost)),
+            ("recursive_kernels", config(|c| c.recursive_kernels = false)),
+            (
+                "operation_pipeline",
+                config(|c| c.operation_pipeline = false),
+            ),
+            ("pipeline_depth", config(|c| c.pipeline_depth = 5)),
+            ("coverage", config(|c| c.coverage = 0.8)),
+            (
+                "stack",
+                config(|c| c.stack = c.stack.with_frequency_multiplier(2.0).unwrap()),
+            ),
+            (
+                "host",
+                config(|c| {
+                    let mut params = c.host.params().clone();
+                    params.ma_throughput *= 2.0;
+                    c.host = CpuDevice::custom(params);
+                }),
+            ),
+            ("arm_cores", config(|c| c.arm_cores = 8)),
+            ("ff_units", config(|c| c.ff_units -= 1)),
+            (
+                "progr_backend",
+                config(|c| c.progr_backend = ProgrBackend::Isa),
+            ),
+        ];
+        for (field, changed) in &configs {
+            assert_ne!(base.fingerprint(changed), key, "config.{field}");
+        }
+
+        let faults = |edit: fn(&mut FaultPlan)| {
+            let mut changed = plan.clone();
+            edit(&mut changed);
+            changed
+        };
+        let plans = [
+            ("seed", faults(|p| p.seed += 1)),
+            ("transient_rate", faults(|p| p.transient_rate = 0.5)),
+            ("timeout_rate", faults(|p| p.timeout_rate = 0.5)),
+            (
+                "permanent fault time",
+                faults(|p| p.permanents[0].at = p.permanents[0].at * 0.5),
+            ),
+            (
+                "straggler window",
+                faults(|p| p.stragglers[0].until = p.stragglers[0].until * 2.0),
+            ),
+        ];
+        for (field, changed) in plans {
+            let request = base.clone().with_faults(changed);
+            assert_ne!(request.fingerprint(&cfg), key, "faults.{field}");
+        }
+
+        let requests = [
+            (
+                "tie",
+                base.clone().with_options(RunOptions {
+                    tie: TieBreak::Permuted(1),
+                    ..RunOptions::default()
+                }),
+            ),
+            ("partitioning", base.clone().partitioned()),
+            (
+                "steps",
+                RunRequest::new(&[WorkloadSpec { steps: 3, ..spec }]).with_faults(plan.clone()),
+            ),
+            (
+                "cpu_progr_only",
+                RunRequest::new(&[WorkloadSpec {
+                    cpu_progr_only: true,
+                    ..spec
+                }])
+                .with_faults(plan.clone()),
+            ),
+        ];
+        for (field, changed) in &requests {
+            assert_ne!(changed.fingerprint(&cfg), key, "request.{field}");
+        }
+
+        // Execution bounds and observability artifacts never change what a
+        // finished run produces, so they share the cell.
+        let inert = [
+            base.clone()
+                .with_limits(RunLimits::none().with_max_events(7)),
+            base.clone().with_options(RunOptions {
+                timeline: true,
+                trace: true,
+                ..RunOptions::default()
+            }),
+        ];
+        for request in &inert {
+            assert_eq!(request.fingerprint(&cfg), key);
+        }
+        assert_eq!(base.fingerprint(&cfg.clone()), key);
+    }
+}

@@ -1,5 +1,7 @@
 //! The heterogeneous-PIM runtime system (§III-C, §IV).
 //!
+//! * [`analysis`] — per-graph costs, dependencies and topological order,
+//!   computed once per process and shared by every run of the graph,
 //! * [`profiler`] — step-1 profiling on the CPU device model,
 //! * [`select`] — the global-index candidate-selection algorithm (x = 90%)
 //!   and the Fig. 2 four-quadrant classification,
@@ -42,6 +44,7 @@
 //! ```
 #![forbid(unsafe_code)]
 
+pub mod analysis;
 pub mod engine;
 pub mod fuzz;
 pub mod par;

@@ -2,8 +2,28 @@
 //!
 //! [`par_map`] fans a slice out over scoped OS threads, and runs a plain
 //! serial map when only one worker is available (or `PIM_RUN_THREADS=1`
-//! pins it there). Output order always matches input order, so parallel
+//! pins it there, or the caller is itself one worker of a full pool, see
+//! [`as_pool_worker`]). Output order always matches input order, so parallel
 //! sweeps stay deterministic.
+
+std::thread_local! {
+    /// Whether this thread is one worker of a pool already sized to the
+    /// thread cap (see [`as_pool_worker`]).
+    static POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` on this thread as one worker of a pool that already holds the
+/// thread cap's worth of threads, such as the serve daemon's workers:
+/// every [`par_map`] inside `f` runs serially. A nested fan-out there
+/// would only put more runnable threads than cores on the machine, and
+/// how long the extra threads wait for a core is up to the scheduler, so
+/// the same work would take a different time on every run.
+pub fn as_pool_worker<R>(f: impl FnOnce() -> R) -> R {
+    let outer = POOL_WORKER.replace(true);
+    let out = f();
+    POOL_WORKER.set(outer);
+    out
+}
 
 /// Worker-thread cap for one fan-out: the `PIM_RUN_THREADS` environment
 /// variable when set to a positive integer, otherwise the machine's
@@ -30,7 +50,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = thread_limit().min(items.len());
-    if workers <= 1 {
+    if workers <= 1 || POOL_WORKER.get() {
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(workers);
@@ -61,6 +81,26 @@ mod tests {
         let items: Vec<usize> = (0..100).collect();
         let out = par_map(&items, |&x| x * x);
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_workers_map_serially_on_their_own_thread() {
+        let items: Vec<usize> = (0..16).collect();
+        let caller = std::thread::current().id();
+        let (out, threads) = as_pool_worker(|| {
+            let out = par_map(&items, |&x| (x * 3, std::thread::current().id()));
+            // Nested use restores the outer marking on exit.
+            as_pool_worker(|| ());
+            let threads = par_map(&items, |_| std::thread::current().id());
+            (out, threads)
+        });
+        assert_eq!(
+            out.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
+            items.iter().map(|&x| x * 3).collect::<Vec<_>>()
+        );
+        assert!(out.iter().all(|&(_, t)| t == caller));
+        assert!(threads.iter().all(|&t| t == caller));
+        assert!(!POOL_WORKER.get());
     }
 
     #[test]

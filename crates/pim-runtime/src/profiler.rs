@@ -10,10 +10,12 @@
 //! paper's §II-A characterization methodology), so the numbers are exactly
 //! the CPU device model's per-op estimates.
 
+use crate::analysis::GraphAnalysis;
+use pim_common::fingerprint;
 use pim_common::ids::OpId;
 use pim_common::units::Seconds;
 use pim_common::Result;
-use pim_graph::cost::op_cost;
+use pim_graph::cost::graph_costs;
 use pim_graph::Graph;
 use pim_hw::cpu::CpuDevice;
 use pim_tensor::cost::CostProfile;
@@ -123,32 +125,39 @@ pub struct NameAggregate {
 ///
 /// Propagates cost-model failures for malformed graphs.
 pub fn profile_step(graph: &Graph, cpu: &CpuDevice) -> Result<StepProfile> {
-    let mut ops = Vec::with_capacity(graph.op_count());
-    for node in graph.ops() {
-        let cost = op_cost(graph, node)?;
-        let est = cpu.estimate_op(&cost);
-        ops.push(OpProfile {
+    Ok(profile_costs(graph, &graph_costs(graph)?, cpu))
+}
+
+/// The profiling pass over already-computed per-op costs.
+fn profile_costs(graph: &Graph, costs: &[CostProfile], cpu: &CpuDevice) -> StepProfile {
+    let ops = graph
+        .ops()
+        .iter()
+        .zip(costs)
+        .map(|(node, &cost)| OpProfile {
             op: node.id,
             name: node.kind.tf_name(),
             cost,
-            cpu_time: est.time,
+            cpu_time: cpu.estimate_op(&cost).time,
             memory_accesses: cost.memory_accesses(),
-        });
-    }
-    Ok(StepProfile { ops })
+        })
+        .collect();
+    StepProfile { ops }
 }
 
-/// Memo key: graph structure fingerprint, op count (a cheap second
-/// discriminant against fingerprint collisions), and the CPU device's
-/// parameter fingerprint.
-type ProfileKey = (u64, usize, u64);
+/// Memo key: graph structural hash, op and tensor counts (cheap
+/// discriminants against hash collisions), and the CPU device's
+/// [`Fingerprint`](pim_common::fingerprint::Fingerprint).
+type ProfileKey = (u64, usize, usize, u64);
 
 /// Process-wide memo of profiling-step results.
 ///
 /// The profiling pass is a pure function of the graph structure and the
 /// CPU device parameters, so a sweep over N system presets of the same
-/// model profiles its graph once instead of N times. Entries are shared
-/// via `Arc` — a hit costs one lock plus one refcount bump.
+/// model profiles its graph once instead of N times, and it reads the
+/// per-op costs from the graph's shared [`GraphAnalysis`] instead of
+/// costing every op again. Entries are shared via `Arc` — a hit costs
+/// one lock plus one refcount bump.
 static PROFILE_MEMO: OnceLock<Mutex<HashMap<ProfileKey, Arc<StepProfile>>>> = OnceLock::new();
 
 fn profile_memo() -> &'static Mutex<HashMap<ProfileKey, Arc<StepProfile>>> {
@@ -164,12 +173,14 @@ fn profile_memo() -> &'static Mutex<HashMap<ProfileKey, Arc<StepProfile>>> {
 ///
 /// # Errors
 ///
-/// Propagates cost-model failures for malformed graphs (never cached).
+/// Propagates cost-model failures and cycles for malformed graphs (never
+/// cached).
 pub fn profile_step_cached(graph: &Graph, cpu: &CpuDevice) -> Result<Arc<StepProfile>> {
     let key = (
         graph.structural_hash(),
         graph.op_count(),
-        pim_common::fingerprint::debug_hash(cpu.params()),
+        graph.tensors().len(),
+        fingerprint::of(cpu),
     );
     if let Some(hit) = profile_memo()
         .lock()
@@ -179,13 +190,11 @@ pub fn profile_step_cached(graph: &Graph, cpu: &CpuDevice) -> Result<Arc<StepPro
         return Ok(Arc::clone(hit));
     }
     // Profile outside the lock: concurrent misses for the same key both
-    // compute the (identical) result and the last insert wins.
-    let fresh = Arc::new(profile_step(graph, cpu)?);
-    profile_memo()
-        .lock()
-        .expect("profile memo poisoned")
-        .insert(key, Arc::clone(&fresh));
-    Ok(fresh)
+    // compute the (identical) result and the first insert wins.
+    let analysis = GraphAnalysis::of(graph)?;
+    let fresh = Arc::new(profile_costs(graph, &analysis.costs, cpu));
+    let mut memo = profile_memo().lock().expect("profile memo poisoned");
+    Ok(Arc::clone(memo.entry(key).or_insert(fresh)))
 }
 
 #[cfg(test)]

@@ -33,17 +33,20 @@ fn eps_for(seconds: f64) -> f64 {
 }
 
 /// Dependency and capability facts for one workload in a simulation.
+///
+/// The per-op tables are borrowed, typically from the graph's shared
+/// [`GraphAnalysis`](crate::analysis::GraphAnalysis).
 #[derive(Debug, Clone)]
-pub struct WorkloadFacts {
+pub struct WorkloadFacts<'a> {
     /// Per-op dependency lists (graph predecessors), indexed by op.
-    pub deps: Vec<Vec<usize>>,
+    pub deps: &'a [Vec<usize>],
     /// Training steps simulated.
     pub steps: usize,
     /// The §VI-F non-CNN co-runner rule: only CPU and programmable-PIM
     /// placements are legal for this workload.
     pub restricted: bool,
     /// Per-op cost profiles, indexed by op.
-    pub costs: Vec<CostProfile>,
+    pub costs: &'a [CostProfile],
     /// Per-op display names, indexed by op.
     pub names: Vec<&'static str>,
 }
@@ -642,15 +645,22 @@ mod tests {
         CostProfile::compute(1e6, 1e6, 0.0, Bytes::new(1e4), Bytes::new(1e4), class, 64)
     }
 
-    fn facts() -> Vec<WorkloadFacts> {
+    /// A MatMul → Relu chain.
+    fn facts() -> Vec<WorkloadFacts<'static>> {
+        facts_with(vec![vec![], vec![0]])
+    }
+
+    /// The same two ops with independent dependency lists `deps`.
+    fn facts_with(deps: Vec<Vec<usize>>) -> Vec<WorkloadFacts<'static>> {
+        let costs = vec![
+            cost(OffloadClass::FullyMulAdd),
+            cost(OffloadClass::NonMulAdd),
+        ];
         vec![WorkloadFacts {
-            deps: vec![vec![], vec![0]],
+            deps: deps.leak(),
             steps: 1,
             restricted: false,
-            costs: vec![
-                cost(OffloadClass::FullyMulAdd),
-                cost(OffloadClass::NonMulAdd),
-            ],
+            costs: costs.leak(),
             names: vec!["MatMul", "Relu"],
         }]
     }
@@ -725,8 +735,7 @@ mod tests {
 
     #[test]
     fn double_booked_cpu_is_reported() {
-        let mut facts = facts();
-        facts[0].deps[1].clear(); // make the ops independent
+        let facts = facts_with(vec![vec![], vec![]]); // independent ops
         let timeline = vec![
             entry(0, 0.0, 1.0, ResourceClass::Cpu),
             entry(1, 0.5, 1.5, ResourceClass::Cpu),
@@ -773,8 +782,7 @@ mod tests {
 
     #[test]
     fn touching_intervals_do_not_double_book() {
-        let mut facts = facts();
-        facts[0].deps[1].clear();
+        let facts = facts_with(vec![vec![], vec![]]);
         let timeline = vec![
             entry(0, 0.0, 1.0, ResourceClass::Cpu),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
@@ -923,8 +931,7 @@ mod tests {
     fn faulted_checker_flags_work_surviving_a_quarantine() {
         use pim_common::units::Seconds as S;
         use pim_hw::faults::{FaultPlan, FaultTarget};
-        let mut facts = facts();
-        facts[0].deps[1].clear();
+        let facts = facts_with(vec![vec![], vec![]]);
         // All 128 units quarantined at t = 0.5 while op0 still holds 64
         // until t = 1.0, and no kill was recorded.
         let plan = FaultPlan::none().with_permanent(S::new(0.5), FaultTarget::FixedUnits(128));

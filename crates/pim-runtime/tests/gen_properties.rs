@@ -1,9 +1,10 @@
 //! Property-based invariants over the seeded random-graph generator:
-//! report well-formedness, per-device busy-time bounds, and the profile
-//! memo returning exactly what a fresh profile computes.
+//! report well-formedness, per-device busy-time bounds, and the analysis
+//! and profile memos returning exactly what a fresh computation produces.
 
 use pim_graph::gen::{random_dag, GenSpec};
 use pim_hw::cpu::CpuDevice;
+use pim_runtime::analysis::GraphAnalysis;
 use pim_runtime::engine::{
     Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec, PROGR_KERNEL_SLOTS,
 };
@@ -72,5 +73,22 @@ proptest! {
         prop_assert!(*first == fresh, "memoized profile diverges from fresh");
         prop_assert!(*second == fresh);
         prop_assert!(Arc::ptr_eq(&first, &second), "repeat hit re-computed");
+    }
+
+    /// The shared graph analysis is exactly a fresh one, whether reached
+    /// through the memo directly or after an engine run, and the profile
+    /// built from its costs is exactly a fresh profile.
+    #[test]
+    fn analysis_memo_hit_equals_fresh_analysis(seed in 0u64..10_000) {
+        let graph = random_dag(&GenSpec::from_seed(seed));
+        let fresh = GraphAnalysis::compute(&graph).unwrap();
+        let first = GraphAnalysis::of(&graph).unwrap();
+        let _ = run(&graph, SystemPreset::Hetero);
+        let second = GraphAnalysis::of(&random_dag(&GenSpec::from_seed(seed))).unwrap();
+        prop_assert!(*first == fresh, "memoized analysis diverges from fresh");
+        prop_assert!(Arc::ptr_eq(&first, &second), "repeat hit re-computed");
+        let cpu = CpuDevice::xeon_e5_2630_v3();
+        let cached = profile_step_cached(&graph, &cpu).unwrap();
+        prop_assert!(*cached == profile_step(&graph, &cpu).unwrap());
     }
 }

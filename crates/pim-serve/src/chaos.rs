@@ -63,7 +63,7 @@ impl JobRunner for ChaosRunner {
         // Like the engine runner: identity excludes id and tenant,
         // includes the deadline (a deadlined cell must not coalesce
         // with an undeadlined one).
-        Ok(pim_common::fingerprint::debug_hash(&(
+        Ok(pim_common::fingerprint::of_hash(&(
             &req.models,
             &req.preset,
             req.steps,

@@ -134,7 +134,8 @@ pub trait JobRunner: Sync {
     /// The content-addressed identity of the request's cell — for the
     /// engine runner, `RunRequest::fingerprint`. Also the semantic
     /// validation point: unknown models/presets fail here, before
-    /// admission.
+    /// admission. Called on the reading thread without the daemon's
+    /// state lock held, so it must be a pure function of the request.
     ///
     /// # Errors
     ///
@@ -273,7 +274,7 @@ struct Core {
     state: Mutex<CoreState>,
     /// Signals workers: work queued or shutdown.
     work: Condvar,
-    /// Signals the drain loop: a response became ready.
+    /// Signals the drain loop: every response of the window is ready.
     done: Condvar,
 }
 
@@ -388,7 +389,12 @@ impl Core {
                     state.cells.remove(&item.key);
                 }
             }
-            self.done.notify_all();
+            // Only a drain waits on `done`, and only for the whole window:
+            // waking it for every completion would just put the reader
+            // back on a core the workers need.
+            if state.ready == state.window.len() {
+                self.done.notify_all();
+            }
         }
     }
 }
@@ -625,7 +631,7 @@ pub fn serve_session(
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| core.worker_loop(runner, store));
+            scope.spawn(|| pim_runtime::par::as_pool_worker(|| core.worker_loop(runner, store)));
         }
         let mut emit = Emit {
             out: &mut output,
@@ -708,9 +714,21 @@ fn read_loop(
             }
         };
 
+        // Parse and key the line before taking the state lock: both are
+        // pure functions of the line, and keying hashes whole graphs'
+        // identities, which must not serialize the workers' completions.
+        // Only a run line the cap admits is keyed, as under the lock.
+        let parsed = protocol::parse_request(&line);
+        let key = match &parsed {
+            Ok(req) if req.op == Op::Run && req.steps <= cfg.max_steps => {
+                Some(runner.cache_key(req))
+            }
+            _ => None,
+        };
+
         let mut state = core.state.lock().unwrap();
         state.counters.jobs += 1;
-        let req = match protocol::parse_request(&line) {
+        let req = match parsed {
             Err(e) => {
                 state.counters.errors += 1;
                 let resp = protocol::render_error(e.id.as_deref(), e.kind, &e.message);
@@ -768,7 +786,7 @@ fn read_loop(
             continue;
         }
 
-        let key = match runner.cache_key(&req) {
+        let key = match key.expect("run lines within the step cap are keyed") {
             Err(e) => {
                 state.counters.errors += 1;
                 let resp = protocol::render_error(Some(&req.id), e.kind, &e.message);

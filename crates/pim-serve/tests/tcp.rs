@@ -28,7 +28,7 @@ impl JobRunner for ToyRunner {
                 return Err(JobError::bad_request(format!("unknown model `{m}`")));
             }
         }
-        Ok(pim_common::fingerprint::debug_hash(&(
+        Ok(pim_common::fingerprint::of_hash(&(
             &req.models,
             &req.preset,
             req.steps,

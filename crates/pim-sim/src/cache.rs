@@ -10,9 +10,11 @@
 //! the CI byte-diff pin down), so caching is behavior-invisible: a hit
 //! returns exactly the report a fresh run would produce.
 //!
-//! Keys are structural fingerprints ([`Graph::structural_hash`],
-//! [`pim_common::fingerprint::debug_hash`] of the configuration), not
-//! addresses, so independently built but identical models share cells.
+//! Keys are structural fingerprints (the graph's kept
+//! [`Graph::structural_hash`] and the configuration's
+//! [`Fingerprint`](pim_common::fingerprint::Fingerprint), which hashes its
+//! fields directly), not addresses, so independently built but identical
+//! models share cells.
 
 use crate::configs::{simulate, SystemConfig};
 use pim_common::Result;
@@ -70,7 +72,7 @@ fn cell_key(graph: &Graph, config: &SystemConfig, steps: usize) -> CellKey {
     (
         graph.structural_hash(),
         graph.op_count(),
-        pim_common::fingerprint::debug_hash(config),
+        pim_common::fingerprint::of(config),
         steps,
     )
 }

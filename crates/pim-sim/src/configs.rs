@@ -1,6 +1,7 @@
 //! The five system configurations of §VI and the simulation entry point.
 
 use crate::gpu::simulate_gpu;
+use pim_common::fingerprint::Fingerprint;
 use pim_common::Result;
 use pim_hw::gpu::GpuDevice;
 use pim_mem::stack::StackConfig;
@@ -8,6 +9,7 @@ use pim_models::Model;
 use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_runtime::stats::ExecutionReport;
 use serde::Serialize;
+use std::hash::{Hash, Hasher};
 
 /// One of the evaluated system configurations.
 #[derive(Debug, Clone, Serialize)]
@@ -61,6 +63,15 @@ impl SystemConfig {
             SystemConfig::ProgrPim => "Progr PIM",
             SystemConfig::FixedPim => "Fixed PIM",
             SystemConfig::HeteroPim(cfg) => &cfg.name,
+        }
+    }
+}
+
+impl Fingerprint for SystemConfig {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        if let SystemConfig::HeteroPim(cfg) = self {
+            cfg.fingerprint(state);
         }
     }
 }

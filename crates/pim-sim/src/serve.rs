@@ -30,15 +30,17 @@
 
 use crate::cache;
 use crate::orders::parse_preset;
+use pim_common::fingerprint;
 use pim_common::units::Seconds;
 use pim_common::PimError;
 use pim_hw::faults::FaultPlan;
 use pim_models::{Model, ModelKind};
-use pim_runtime::{Engine, EngineConfig, RunLimits, RunOptions, RunRequest, WorkloadSpec};
+use pim_runtime::{
+    Engine, EngineConfig, RunLimits, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 use pim_serve::protocol::{render_report, Op, Request};
 use pim_serve::{JobError, JobRunner, StoredResult};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Maps a wire model name onto a [`ModelKind`] (the `repro` CLI
@@ -100,21 +102,30 @@ impl Job {
     }
 }
 
+/// The request's system preset.
+fn preset_of(req: &Request) -> Result<SystemPreset, JobError> {
+    parse_preset(&req.preset).map_err(|e| JobError::bad_request(e.to_string()))
+}
+
+/// The request's models, from the process-wide model cache.
+fn load_models(req: &Request) -> Result<Vec<Arc<Model>>, JobError> {
+    req.models
+        .iter()
+        .map(|name| {
+            let kind = model_kind(name)?;
+            match req.batch {
+                Some(batch) => cache::model_with_batch(kind, batch),
+                None => cache::model(kind),
+            }
+            .map_err(|e| JobError::bad_request(e.to_string()))
+        })
+        .collect()
+}
+
 fn prepare(req: &Request) -> Result<Job, JobError> {
-    let preset = parse_preset(&req.preset).map_err(|e| JobError::bad_request(e.to_string()))?;
-    let mut models = Vec::with_capacity(req.models.len());
-    for name in &req.models {
-        let kind = model_kind(name)?;
-        let model = match req.batch {
-            Some(batch) => cache::model_with_batch(kind, batch),
-            None => cache::model(kind),
-        }
-        .map_err(|e| JobError::bad_request(e.to_string()))?;
-        models.push(model);
-    }
     Ok(Job {
-        engine: Engine::new(EngineConfig::preset(preset)),
-        models,
+        engine: Engine::new(EngineConfig::preset(preset_of(req)?)),
+        models: load_models(req)?,
     })
 }
 
@@ -145,28 +156,19 @@ fn baseline_horizon(engine: &Engine, base: &RunRequest<'_>) -> Result<Seconds, J
 
 impl JobRunner for SimRunner {
     fn cache_key(&self, req: &Request) -> Result<u64, JobError> {
-        let job = prepare(req)?;
-        let base = Job::base_request(&job.models, req);
-        let mut canon = base.canonical(job.engine.config());
-        if let Some(b) = req.batch {
-            let _ = write!(canon, ";batch={b}");
-        }
-        if let Some(f) = req.faults {
+        let cfg = EngineConfig::preset(preset_of(req)?);
+        let models = load_models(req)?;
+        let base = Job::base_request(&models, req).fingerprint(&cfg);
+        Ok(fingerprint::of_hash(&(
+            base,
+            req.batch,
             // The spec, not the derived plan: deriving the horizon here
             // would run a simulation on the admission thread.
-            let _ = write!(
-                canon,
-                ";faultspec={{seed={},rate={:x}}}",
-                f.seed,
-                f.rate.to_bits()
-            );
-        }
-        if let Some(ms) = req.deadline_ms {
+            req.faults.map(|f| (f.seed, f.rate.to_bits())),
             // A deadlined run may be cut off, so it must never share a
             // cell with the undeadlined (or differently-deadlined) run.
-            let _ = write!(canon, ";deadline_ms={ms}");
-        }
-        Ok(pim_common::fingerprint::debug_hash(&canon))
+            req.deadline_ms,
+        )))
     }
 
     fn execute(&self, req: &Request) -> Result<StoredResult, JobError> {

@@ -52,9 +52,11 @@ fn checked_in_bench_files_are_valid_and_cover_the_same_grid() {
     let pr4 = repo_file("BENCH_pr4.json");
     let pr5 = repo_file("BENCH_pr5.json");
     let pr6 = repo_file("BENCH_pr6.json");
+    let pr14 = repo_file("BENCH_pr14.json");
     validate_bench_json(&pr4).expect("BENCH_pr4.json validates");
     validate_bench_json(&pr5).expect("BENCH_pr5.json validates");
     validate_bench_json(&pr6).expect("BENCH_pr6.json validates");
+    validate_bench_json(&pr14).expect("BENCH_pr14.json validates");
     let (k4, k5, k6) = (cell_keys(&pr4), cell_keys(&pr5), cell_keys(&pr6));
     assert_eq!(k4.len(), 42, "pr4 grid is not 7 models x 6 presets");
     assert_eq!(
@@ -64,6 +66,23 @@ fn checked_in_bench_files_are_valid_and_cover_the_same_grid() {
     assert_eq!(
         k5, k6,
         "pr6 must cover exactly the pr5 (model, preset) grid"
+    );
+    assert_eq!(
+        k6,
+        cell_keys(&pr14),
+        "pr14 must cover exactly the pr6 (model, preset) grid"
+    );
+    // The graph-identity memo change records an interleaved `repro all`
+    // A/B against the commit before it.
+    let speedup = pim_common::trace::parse_json(&pr14)
+        .expect("bench json parses")
+        .field("repro_all")
+        .and_then(|r| r.field("speedup"))
+        .and_then(pim_common::trace::Json::as_num)
+        .expect("pr14 must carry the repro_all A/B record");
+    assert!(
+        speedup >= 1.3,
+        "pr14 repro-all speedup gate (>=1.3x) not met: {speedup}"
     );
 }
 

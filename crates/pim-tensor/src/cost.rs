@@ -8,8 +8,10 @@
 //! modules, and is consumed by every device model in `pim-hw`.
 
 use pim_common::access::AccessPattern;
+use pim_common::fingerprint::Fingerprint;
 use pim_common::units::Bytes;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// How much of an operation decomposes into plain multiply/add work.
 ///
@@ -58,6 +60,15 @@ impl OffloadClass {
     }
 }
 
+impl Fingerprint for OffloadClass {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        if let OffloadClass::PartiallyMulAdd { ma_fraction } = self {
+            ma_fraction.fingerprint(state);
+        }
+    }
+}
+
 /// The complete analytic cost of one operation instance.
 ///
 /// # Examples
@@ -101,6 +112,32 @@ pub struct CostProfile {
     pub ff_parallelism: usize,
     /// Decomposability classification.
     pub class: OffloadClass,
+}
+
+/// The key of every per-cost memo (the ISA estimator's interpreted-kernel
+/// cache): all nine fields, floats by bit pattern.
+impl Fingerprint for CostProfile {
+    fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let CostProfile {
+            muls,
+            adds,
+            other_flops,
+            control_ops,
+            bytes_read,
+            bytes_written,
+            pattern,
+            ff_parallelism,
+            class,
+        } = self;
+        for flops in [muls, adds, other_flops, control_ops] {
+            flops.fingerprint(state);
+        }
+        bytes_read.fingerprint(state);
+        bytes_written.fingerprint(state);
+        pattern.hash(state);
+        ff_parallelism.hash(state);
+        class.fingerprint(state);
+    }
 }
 
 impl CostProfile {
